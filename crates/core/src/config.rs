@@ -255,13 +255,6 @@ pub struct MachineConfig {
     pub faults: Option<FaultPlan>,
     /// Record Gantt timelines (costs memory; for examples/debugging).
     pub record_gantt: bool,
-    /// Charge a batched same-destination packet run's delivery DMA as one
-    /// pipelined occupancy interval (first-packet gap search + per-packet
-    /// tail append) instead of k independent gap searches. Timings are
-    /// provably identical to the per-packet model (the differential
-    /// reference; see `spin_hpu::dma::DmaEngine::begin_write_run`) — this
-    /// flag only gates the fast path so A/B runs can isolate it.
-    pub pipelined_dma: bool,
     /// RNG seed for noise streams.
     pub seed: u64,
 }
@@ -283,7 +276,6 @@ impl MachineConfig {
             impairments: None,
             faults: None,
             record_gantt: false,
-            pipelined_dma: true,
             seed: 0xC0FFEE,
         }
     }

@@ -18,12 +18,11 @@ use crate::runtime::HandlerEnv;
 use crate::world::{Ev, World};
 use spin_hpu::cost;
 use spin_hpu::ctx::{HeaderRet, PayloadRet};
-use spin_hpu::dma::{DmaEngine, DmaTiming, WriteRun};
 use spin_portals::ct::CtHandle;
 use spin_portals::eq::{EventKind, FullEvent};
 use spin_portals::ni::HeaderDisposition;
 use spin_portals::types::{AckReq, OpKind, Packet, PtlAckType};
-use spin_sim::engine::{dispatch_run_singly, EventQueue};
+use spin_sim::engine::EventQueue;
 use spin_sim::time::Time;
 use std::sync::Arc;
 
@@ -548,154 +547,6 @@ impl World {
         ch.last_done = ch.last_done.max(done_at);
         if ch.processed == ch.total_packets {
             q.post_at(ch.last_done, Ev::MessageDone(n, pkt.msg_id));
-        }
-    }
-
-    /// Processing of one extracted run of same-time non-header packets
-    /// (see the run key in `World`'s
-    /// [`spin_sim::engine::BatchDispatch`] impl). When the run is
-    /// uniform — one destination, one message — one CAM lookup, one node
-    /// split borrow, and one assembly/stats flush cover the whole run,
-    /// and with `MachineConfig::pipelined_dma` set the run's delivery
-    /// DMA goes through the tail-append fast path of [`WriteRun`]
-    /// (provably identical occupancy to the per-packet model). Falls
-    /// back to the single-event reference path when the run is not
-    /// vectorizable: mixed destinations or messages, uninstalled channel
-    /// (per-packet drop accounting), or sPIN payload handlers (which
-    /// execute — and may flow-control the channel — per packet anyway).
-    pub(crate) fn dispatch_packet_run(
-        &mut self,
-        q: &mut EventQueue<Ev>,
-        batch: &mut Vec<(Time, u64, Ev)>,
-    ) {
-        let (n, msg_id, is_reply) = {
-            let Ev::PacketArrive(n, pkt) = &batch[0].2 else {
-                unreachable!("run key only matches PacketArrive");
-            };
-            (*n, pkt.msg_id, pkt.header.op == OpKind::Reply)
-        };
-        // The run key is class-level, so an extracted run may span
-        // destinations and messages (simultaneous arrivals under ingress
-        // serialization are almost always cross-node). The engine-side
-        // win — one calendar-bucket drain for the cluster — applies
-        // either way; the single-lookup vectored body below additionally
-        // requires the run to be uniform in `(node, msg)`.
-        let uniform = batch.iter().all(
-            |(_, _, ev)| matches!(&ev, Ev::PacketArrive(bn, bp) if *bn == n && bp.msg_id == msg_id),
-        );
-        let vectorable = uniform
-            && matches!(
-                self.nodes[n as usize].nic.cam.peek(msg_id),
-                Some(ch) if !matches!(ch.mode, DeliveryMode::SpinProcess)
-            );
-        if !vectorable {
-            dispatch_run_singly(self, q, batch);
-            return;
-        }
-        let pipelined = self.config.pipelined_dma;
-        let mut split = self.node_split(n);
-        let ctx = &mut split.ctx;
-        let ch = split.cam.lookup(msg_id).expect("peeked above");
-        let mut writer = if pipelined {
-            RunWriter::Pipelined(ctx.dma.begin_write_run())
-        } else {
-            RunWriter::PerPacket(&mut *ctx.dma)
-        };
-        let mut processed: u32 = 0;
-        let mut dropped_bytes: usize = 0;
-        let mut straggler_drops: u64 = 0;
-        let mut last_done = ch.last_done;
-        for (t_ev, _seq, ev) in batch.drain(..) {
-            let Ev::PacketArrive(_, pkt) = ev else {
-                unreachable!("run key only matches PacketArrive");
-            };
-            q.begin_event(t_ev);
-            let done = t_ev + cost::MATCH_CAM;
-            let t = if is_reply {
-                done
-            } else if ch.attempt == pkt.attempt {
-                ch.header_done.max(done)
-            } else {
-                // Straggler of an earlier bounced attempt: dropped
-                // exactly as in `on_follow_packet`.
-                straggler_drops += 1;
-                continue;
-            };
-            let mut done_at = t;
-            match ch.mode {
-                DeliveryMode::Reply => {
-                    if !pkt.payload.is_empty() {
-                        let timing = writer.write(t, pkt.payload.len());
-                        ctx.mem
-                            .write_bytes(ch.reply_dest + pkt.offset, &pkt.payload)
-                            .expect("reply deposit");
-                        ctx.gantt.record(
-                            n,
-                            "DMA",
-                            timing.channel_start,
-                            timing.complete,
-                            'w',
-                            || "reply",
-                        );
-                        done_at = timing.complete;
-                    }
-                }
-                DeliveryMode::Rdma | DeliveryMode::SpinProceed => {
-                    let msg_off = pkt.offset;
-                    if msg_off < ch.mlength && !pkt.payload.is_empty() {
-                        let len = pkt.payload.len().min(ch.mlength - msg_off);
-                        let timing = writer.write(t, len);
-                        ctx.mem
-                            .write_bytes(
-                                ch.me_start + ch.dest_offset + msg_off,
-                                &pkt.payload.slice(..len),
-                            )
-                            .expect("rdma deposit");
-                        ctx.gantt.record(
-                            n,
-                            "DMA",
-                            timing.channel_start,
-                            timing.complete,
-                            'w',
-                            || "deposit",
-                        );
-                        done_at = timing.complete;
-                    }
-                }
-                DeliveryMode::DropAll => dropped_bytes += pkt.payload.len(),
-                DeliveryMode::SpinProcess => unreachable!("excluded before vectoring"),
-            }
-            processed += 1;
-            last_done = last_done.max(done_at);
-            // Completion posts mid-run at the reference position so the
-            // `MessageDone` sequence number matches the single-event path
-            // (the only post these modes make).
-            if ch.processed + processed == ch.total_packets {
-                q.post_at(last_done, Ev::MessageDone(n, msg_id));
-            }
-        }
-        // One assembly/stats flush for the whole run.
-        ch.processed += processed;
-        ch.dropped_bytes += dropped_bytes;
-        ch.last_done = last_done;
-        if straggler_drops > 0 {
-            ctx.stats.packets_dropped += straggler_drops;
-        }
-    }
-}
-
-/// Run-scoped DMA write strategy: the pipelined tail-append fast path
-/// (`MachineConfig::pipelined_dma`) or the per-packet reference model.
-enum RunWriter<'a> {
-    Pipelined(WriteRun<'a>),
-    PerPacket(&'a mut DmaEngine),
-}
-
-impl RunWriter<'_> {
-    fn write(&mut self, issue: Time, bytes: usize) -> DmaTiming {
-        match self {
-            RunWriter::Pipelined(run) => run.write(issue, bytes),
-            RunWriter::PerPacket(dma) => dma.write(issue, bytes),
         }
     }
 }

@@ -29,7 +29,7 @@ use spin_net::transfer::Network;
 use spin_portals::ct::{CtHandle, TriggeredAction};
 use spin_portals::eq::FullEvent;
 use spin_portals::types::{OpKind, Packet};
-use spin_sim::engine::{BatchDispatch, Dispatch, Engine, EventQueue};
+use spin_sim::engine::{Engine, EventQueue};
 use spin_sim::gantt::Gantt;
 use spin_sim::noise::NoiseSource;
 use spin_sim::rng::{cell_seed, SimRng};
@@ -434,48 +434,6 @@ impl World {
     }
 }
 
-impl Dispatch<Ev> for World {
-    fn dispatch(&mut self, queue: &mut EventQueue<Ev>, now: Time, event: Ev) {
-        World::dispatch(self, queue, now, event);
-    }
-}
-
-impl BatchDispatch<Ev> for World {
-    /// Batch key: non-header packets, keyed by stream class. Header
-    /// packets (matching, channel install, handler dispatch — all
-    /// effectful beyond the assembly state) and acks (recovery machinery,
-    /// which may tombstone queued events) never batch; reply streams key
-    /// separately from put/get follow-ons because their per-packet ready
-    /// time is computed differently.
-    ///
-    /// The key is deliberately coarse — it does not pin the destination
-    /// node or message id — so that the engine's `pop_run` can drain any
-    /// same-time cluster of follow-on packets in one calendar-bucket
-    /// scan (under ingress serialization, simultaneous arrivals are
-    /// almost always *cross*-node, e.g. the symmetric levels of a
-    /// binomial broadcast tree). [`World::dispatch_packet_run`] then
-    /// takes the vectored single-lookup path only when the run is
-    /// uniform in `(node, msg)`, and otherwise falls back to the
-    /// reference per-event order.
-    fn run_key(&self, event: &Ev) -> Option<u128> {
-        let Ev::PacketArrive(_, pkt) = event else {
-            return None;
-        };
-        if pkt.is_header() {
-            return None;
-        }
-        match pkt.header.op {
-            OpKind::Ack => None,
-            OpKind::Reply => Some(1),
-            _ => Some(0),
-        }
-    }
-
-    fn dispatch_run(&mut self, queue: &mut EventQueue<Ev>, batch: &mut Vec<(Time, u64, Ev)>) {
-        self.dispatch_packet_run(queue, batch);
-    }
-}
-
 /// Parse an environment-variable value as a non-negative integer, or
 /// explain exactly which variable held what garbage. Pure (no env access)
 /// so the error path is unit-testable.
@@ -483,19 +441,6 @@ pub(crate) fn parse_count(var: &str, raw: &str) -> Result<usize, String> {
     raw.trim()
         .parse::<usize>()
         .map_err(|_| format!("{var} must be a non-negative integer, got {raw:?}"))
-}
-
-/// Parse an environment-variable value as an on/off switch
-/// (`1`/`on`/`true`/`yes` or `0`/`off`/`false`/`no`, case-insensitive),
-/// or explain exactly which variable held what garbage.
-pub(crate) fn parse_switch(var: &str, raw: &str) -> Result<bool, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" => Ok(true),
-        "0" | "off" | "false" | "no" => Ok(false),
-        _ => Err(format!(
-            "{var} must be one of 1/on/true/yes or 0/off/false/no, got {raw:?}"
-        )),
-    }
 }
 
 /// Read `var` as a count, `default` when unset.
@@ -508,19 +453,6 @@ fn env_count(var: &str, default: usize) -> usize {
     match std::env::var(var) {
         Ok(raw) => parse_count(var, &raw).unwrap_or_else(|e| panic!("{e}")),
         Err(_) => default,
-    }
-}
-
-/// Whether the serial engine uses batched same-time dispatch
-/// (`SPIN_BATCH_DISPATCH`; default on, `0`/`off`/`false`/`no` disables).
-///
-/// # Panics
-/// Panics on an unrecognized value (see [`parse_switch`]): a typo must not
-/// silently select a dispatch strategy.
-pub fn batch_dispatch_enabled() -> bool {
-    match std::env::var("SPIN_BATCH_DISPATCH") {
-        Ok(raw) => parse_switch("SPIN_BATCH_DISPATCH", &raw).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => true,
     }
 }
 
@@ -808,16 +740,9 @@ impl SimBuilder {
         }
     }
 
-    /// Run on the serial reference engine, batched dispatch per
-    /// [`batch_dispatch_enabled`].
+    /// Run on the serial reference engine: one event at a time, in
+    /// `(time, seq)` order, through [`World::dispatch`].
     pub fn run_serial(self) -> SimOutput {
-        self.run_serial_batched(batch_dispatch_enabled())
-    }
-
-    /// Run on the serial reference engine with batched same-time dispatch
-    /// explicitly on or off (`false` = the single-event reference path;
-    /// both produce bit-identical reports by construction).
-    pub fn run_serial_batched(self, batched: bool) -> SimOutput {
         let n = self.programs.len() as u32;
         assert!(n > 0, "a simulation needs at least one node");
         let mut world = World::new(self.config, n);
@@ -833,11 +758,7 @@ impl SimBuilder {
                 engine.queue_mut().post_at(ev.at, Ev::Fault(i as u32));
             }
         }
-        let end = if batched {
-            engine.run_batched(&mut world)
-        } else {
-            engine.run_with(|q, now, ev| world.dispatch(q, now, ev))
-        };
+        let end = engine.run_with(|q, now, ev| world.dispatch(q, now, ev));
         let report = Report {
             end_time: end,
             events_executed: engine.executed(),
@@ -856,10 +777,10 @@ impl SimBuilder {
 mod tests {
     use super::*;
 
-    // The env knobs (`SPIN_SHARDS`, `SPIN_BATCH_DISPATCH`,
-    // `SPIN_SHARD_MODE`) share these pure parsers, so exercising the
-    // parsers covers every variable's error path without mutating the
-    // process environment under a parallel test runner.
+    // The env knobs (`SPIN_SHARDS`, `SPIN_SHARD_MODE`) go through these
+    // pure parsers, so exercising the parsers covers every variable's
+    // error path without mutating the process environment under a
+    // parallel test runner.
 
     #[test]
     fn count_parsing_is_loud_about_garbage() {
@@ -869,21 +790,6 @@ mod tests {
         for bad in ["abc", "", "4x", "-1", "1.5"] {
             let err = parse_count("SPIN_SHARDS", bad).unwrap_err();
             assert!(err.contains("SPIN_SHARDS"), "{err}");
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-        }
-    }
-
-    #[test]
-    fn switch_parsing_is_loud_about_garbage() {
-        for on in ["1", "on", "true", "YES", " On "] {
-            assert_eq!(parse_switch("SPIN_BATCH_DISPATCH", on), Ok(true), "{on}");
-        }
-        for off in ["0", "off", "False", "no"] {
-            assert_eq!(parse_switch("SPIN_BATCH_DISPATCH", off), Ok(false), "{off}");
-        }
-        for bad in ["maybe", "", "2", "disabled"] {
-            let err = parse_switch("SPIN_BATCH_DISPATCH", bad).unwrap_err();
-            assert!(err.contains("SPIN_BATCH_DISPATCH"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
     }

@@ -153,69 +153,6 @@ impl DmaEngine {
         self.read(issue, 8)
     }
 
-    /// Begin a batched **write run**: a sequence of `write`s issued in
-    /// ascending order for one same-destination packet burst. The run
-    /// charges the NIC→host path as a single pipelined occupancy interval
-    /// — first packet pays the full gap search, back-to-back equal-size
-    /// packets extend the tail in place — while returning, per packet, the
-    /// exact timings the per-packet [`DmaEngine::write`] path would have
-    /// produced (see `WriteRun::write` for the equivalence argument).
-    pub fn begin_write_run(&mut self) -> WriteRun<'_> {
-        WriteRun {
-            eng: self,
-            state: None,
-        }
-    }
-}
-
-/// In-progress batched write run from [`DmaEngine::begin_write_run`].
-///
-/// Per-write timings, the busy-interval list, and every counter come out
-/// **identical** to issuing the same sequence through [`DmaEngine::write`]:
-/// the fast path engages only under conditions where a full gap search
-/// provably lands at the tail, and falls back to `write` otherwise.
-#[derive(Debug)]
-pub struct WriteRun<'a> {
-    eng: &'a mut DmaEngine,
-    /// `(duration, last_issue, at_tail)` of the previous write in the run:
-    /// the witness for the tail-append induction. `at_tail` records
-    /// whether the previous grant ended at the channel horizon.
-    state: Option<(Time, Time, bool)>,
-}
-
-impl WriteRun<'_> {
-    /// One write of the run. Equivalence to [`DmaEngine::write`] holds by
-    /// induction: if the previous equal-duration write was granted at the
-    /// tail by a **full** search (so no interior gap at or after its issue
-    /// fits `duration`), then a request with the same duration and an
-    /// issue no earlier than the previous one also fits no interior gap —
-    /// `reserve_append` is exact. A write that breaks the induction
-    /// (different size — e.g. the short final packet — or an out-of-order
-    /// issue) re-runs the full search, re-establishing the witness.
-    pub fn write(&mut self, issue: Time, bytes: usize) -> DmaTiming {
-        let duration = self.eng.rate.transfer(bytes);
-        let fast = matches!(
-            self.state,
-            Some((d, last_issue, true)) if d == duration && issue >= last_issue
-        );
-        let (start, end) = if fast {
-            self.eng.to_host.reserve_append(issue, duration)
-        } else {
-            self.eng.to_host.reserve(issue, duration)
-        };
-        let at_tail = end == self.eng.to_host.horizon();
-        self.state = Some((duration, issue, at_tail));
-        self.eng.writes += 1;
-        self.eng.bytes += bytes as u64;
-        DmaTiming {
-            channel_start: start,
-            channel_end: end,
-            complete: end + self.eng.params.latency,
-        }
-    }
-}
-
-impl DmaEngine {
     /// Total bytes moved over the engine (both directions).
     pub fn bytes_total(&self) -> u64 {
         self.bytes
@@ -322,60 +259,5 @@ mod tests {
         let mut d = DmaEngine::new(DmaParams::discrete());
         let t = d.atomic(Time::ZERO);
         assert!((t.complete.ns() - 500.1).abs() < 1.0, "{:?}", t);
-    }
-
-    #[test]
-    fn write_run_matches_per_packet_writes_exactly() {
-        // Randomized run shapes against the per-packet reference: full
-        // MTU bursts, short final packets, stalled and bursty issue times,
-        // pre-existing channel traffic (including future reservations the
-        // run must not collide with). Timings and engine counters must be
-        // identical — the batched writer is an execution strategy, not a
-        // model change.
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut rng = move |m: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % m
-        };
-        for case in 0..300 {
-            let params = if case % 2 == 0 {
-                DmaParams::discrete()
-            } else {
-                DmaParams::integrated()
-            };
-            let mut batched = DmaEngine::new(params);
-            let mut reference = DmaEngine::new(params);
-            // Messy pre-run history on both engines.
-            for _ in 0..rng(6) {
-                let at = Time::from_ns(rng(2000));
-                let bytes = (rng(8192) + 1) as usize;
-                assert_eq!(batched.write(at, bytes), reference.write(at, bytes));
-            }
-            // The run: mostly equal-size packets, occasional odd sizes
-            // (breaking the fast path mid-run must stay exact too).
-            let mtu = [1024usize, 4096][rng(2) as usize];
-            let mut issue = Time::from_ns(rng(3000));
-            let mut run = batched.begin_write_run();
-            for p in 0..rng(24) + 1 {
-                let bytes = if rng(5) == 0 {
-                    (rng(mtu as u64) + 1) as usize
-                } else {
-                    mtu
-                };
-                issue += Time::from_ns(rng(60));
-                let b = run.write(issue, bytes);
-                let r = reference.write(issue, bytes);
-                assert_eq!(b, r, "case {case} packet {p} diverged");
-            }
-            // End the run's borrow before reading the engine's counters.
-            #[allow(clippy::drop_non_drop)]
-            drop(run);
-            assert_eq!(batched.writes(), reference.writes());
-            assert_eq!(batched.bytes_total(), reference.bytes_total());
-            assert_eq!(batched.busy_total(), reference.busy_total());
-            assert_eq!(batched.next_free(), reference.next_free());
-        }
     }
 }

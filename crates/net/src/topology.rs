@@ -70,31 +70,118 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Endpoint count this spec produces.
-    pub fn nodes(&self) -> u32 {
+    /// Check that the spec describes a buildable fabric and return its
+    /// endpoint count. This is the one statement of the topology bounds:
+    /// the [`Topology`] constructors panic with its error, and the scenario
+    /// compiler reports it. The error names the offending field and value.
+    pub fn check(&self) -> Result<u32, String> {
         match self {
-            TopologySpec::FatTree { nodes, .. } => *nodes,
+            TopologySpec::FatTree { nodes, ports } => {
+                if *ports < 2 {
+                    return Err(format!(
+                        "FatTree.ports = {ports}: a switch needs at least 2 ports"
+                    ));
+                }
+                if *nodes == 0 {
+                    return Err("FatTree.nodes = 0: a fabric needs at least one endpoint".into());
+                }
+                let k = u128::from(*ports);
+                let capacity = k * k * k / 4;
+                if u128::from(*nodes) > capacity {
+                    return Err(format!(
+                        "FatTree.nodes = {nodes}: exceeds the 3-level fat-tree capacity \
+                         of {capacity} endpoints with {ports}-port switches"
+                    ));
+                }
+                Ok(*nodes)
+            }
             TopologySpec::Dragonfly {
                 groups,
                 routers_per_group,
                 nodes_per_router,
-            } => groups * routers_per_group * nodes_per_router,
-            TopologySpec::Torus { dims } => dims.iter().product(),
+            } => {
+                for (field, v) in [
+                    ("groups", groups),
+                    ("routers_per_group", routers_per_group),
+                    ("nodes_per_router", nodes_per_router),
+                ] {
+                    if *v == 0 {
+                        return Err(format!(
+                            "Dragonfly.{field} = 0: every dimension must be at least 1"
+                        ));
+                    }
+                }
+                groups
+                    .checked_mul(*routers_per_group)
+                    .and_then(|n| n.checked_mul(*nodes_per_router))
+                    .ok_or_else(|| {
+                        format!(
+                            "Dragonfly = {groups} × {routers_per_group} × {nodes_per_router}: \
+                             the endpoint count overflows u32"
+                        )
+                    })
+            }
+            TopologySpec::Torus { dims } => {
+                if dims.is_empty() {
+                    return Err("Torus.dims = []: a torus needs at least one dimension".into());
+                }
+                if let Some(i) = dims.iter().position(|&d| d == 0) {
+                    return Err(format!(
+                        "Torus.dims[{i}] = 0: every dimension must be at least 1"
+                    ));
+                }
+                dims.iter()
+                    .try_fold(1u32, |acc, &d| acc.checked_mul(d))
+                    .ok_or_else(|| {
+                        format!("Torus.dims = {dims:?}: the endpoint count overflows u32")
+                    })
+            }
         }
     }
 
-    /// Instantiate the topology (panics on invalid dimensions, like the
-    /// underlying constructors).
+    /// Endpoint count this spec produces.
+    ///
+    /// # Panics
+    /// Panics with [`TopologySpec::check`]'s error on an invalid spec.
+    pub fn nodes(&self) -> u32 {
+        self.check()
+            .unwrap_or_else(|e| panic!("invalid topology: {e}"))
+    }
+
+    /// Instantiate the topology.
+    ///
+    /// # Panics
+    /// Panics with [`TopologySpec::check`]'s error on an invalid spec.
     pub fn build(&self) -> Topology {
-        match self {
-            TopologySpec::FatTree { nodes, ports } => Topology::fat_tree(*nodes, *ports),
+        let nodes = self.nodes();
+        let kind = match self {
+            TopologySpec::FatTree { ports, .. } => {
+                // `check` bounds `nodes` by the 3-level capacity.
+                let k = u64::from(*ports);
+                let levels = if u64::from(nodes) <= k {
+                    1
+                } else if u64::from(nodes) <= k * k / 2 {
+                    2
+                } else {
+                    3
+                };
+                Kind::FatTree {
+                    ports: *ports,
+                    levels,
+                }
+            }
             TopologySpec::Dragonfly {
                 groups,
                 routers_per_group,
                 nodes_per_router,
-            } => Topology::dragonfly(*groups, *routers_per_group, *nodes_per_router),
-            TopologySpec::Torus { dims } => Topology::torus(dims.clone()),
-        }
+            } => Kind::Dragonfly {
+                groups: *groups,
+                routers_per_group: *routers_per_group,
+                nodes_per_router: *nodes_per_router,
+            },
+            TopologySpec::Torus { dims } => Kind::Torus { dims: dims.clone() },
+        };
+        Topology { nodes, kind }
     }
 }
 
@@ -117,30 +204,10 @@ impl Topology {
     /// `nodes` endpoints.
     ///
     /// # Panics
-    /// Panics if `nodes` exceeds the 3-level capacity `k³/4` or if the radix
-    /// is below 2.
+    /// Panics if `nodes` is zero or exceeds the 3-level capacity `k³/4`, or
+    /// if the radix is below 2 (see [`TopologySpec::check`]).
     pub fn fat_tree(nodes: u32, ports: u32) -> Self {
-        assert!(ports >= 2, "switch radix must be at least 2");
-        assert!(nodes >= 1, "need at least one node");
-        let k = ports as u64;
-        let levels = if nodes as u64 <= k {
-            1
-        } else if nodes as u64 <= k * k / 2 {
-            2
-        } else if nodes as u64 <= k * k * k / 4 {
-            3
-        } else {
-            panic!(
-                "{} nodes exceed the 3-level fat-tree capacity of {} with {}-port switches",
-                nodes,
-                k * k * k / 4,
-                ports
-            );
-        };
-        Topology {
-            nodes,
-            kind: Kind::FatTree { ports, levels },
-        }
+        TopologySpec::FatTree { nodes, ports }.build()
     }
 
     /// Build a dragonfly of `groups` groups, each holding
@@ -148,24 +215,15 @@ impl Topology {
     /// endpoint count is exactly the product.
     ///
     /// # Panics
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero or the product overflows `u32` (see
+    /// [`TopologySpec::check`]).
     pub fn dragonfly(groups: u32, routers_per_group: u32, nodes_per_router: u32) -> Self {
-        assert!(
-            groups >= 1 && routers_per_group >= 1 && nodes_per_router >= 1,
-            "dragonfly dimensions must all be at least 1"
-        );
-        let nodes = groups
-            .checked_mul(routers_per_group)
-            .and_then(|n| n.checked_mul(nodes_per_router))
-            .expect("dragonfly size overflows u32");
-        Topology {
-            nodes,
-            kind: Kind::Dragonfly {
-                groups,
-                routers_per_group,
-                nodes_per_router,
-            },
+        TopologySpec::Dragonfly {
+            groups,
+            routers_per_group,
+            nodes_per_router,
         }
+        .build()
     }
 
     /// Build a torus (k-ary n-cube) with `dims[i]` routers along dimension
@@ -173,21 +231,10 @@ impl Topology {
     /// dimension 0 varying fastest.
     ///
     /// # Panics
-    /// Panics on an empty dimension list or a zero-sized dimension.
+    /// Panics on an empty dimension list, a zero-sized dimension, or a
+    /// product that overflows `u32` (see [`TopologySpec::check`]).
     pub fn torus(dims: Vec<u32>) -> Self {
-        assert!(!dims.is_empty(), "torus needs at least one dimension");
-        assert!(
-            dims.iter().all(|&d| d >= 1),
-            "torus dimensions must all be at least 1"
-        );
-        let nodes = dims
-            .iter()
-            .try_fold(1u32, |acc, &d| acc.checked_mul(d))
-            .expect("torus size overflows u32");
-        Topology {
-            nodes,
-            kind: Kind::Torus { dims },
-        }
+        TopologySpec::Torus { dims }.build()
     }
 
     /// Number of endpoints.

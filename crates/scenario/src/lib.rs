@@ -104,6 +104,10 @@ impl TopologyConfig {
     }
 
     /// Endpoint count the topology produces.
+    ///
+    /// # Panics
+    /// Panics on an invalid topology, which [`ScenarioCompiler::compile`]
+    /// reports as an error instead.
     pub fn nodes(&self) -> u32 {
         self.spec().nodes()
     }
@@ -446,6 +450,10 @@ impl ScenarioCompiler {
     }
 
     /// Endpoint count of the declared topology.
+    ///
+    /// # Panics
+    /// Panics on an invalid topology, which [`ScenarioCompiler::compile`]
+    /// reports as an error instead.
     pub fn nodes(&self) -> u32 {
         self.scenario.topology.nodes()
     }
@@ -454,7 +462,11 @@ impl ScenarioCompiler {
     /// config with the declared topology, impairments, and knobs applied.
     pub fn machine_config(&self) -> Result<MachineConfig, Error> {
         let s = &self.scenario;
-        let n = self.nodes();
+        let n = s
+            .topology
+            .spec()
+            .check()
+            .map_err(|e| Error::msg(format!("scenario {:?}: topology.{e}", s.name)))?;
         if n < 2 {
             return Err(Error::msg(format!(
                 "scenario {:?}: topology declares {n} endpoint(s); a workload needs at least 2",
@@ -570,8 +582,8 @@ impl ScenarioCompiler {
     /// Compile to a ready-to-run builder.
     pub fn compile(&self) -> Result<SimBuilder, Error> {
         let s = &self.scenario;
-        let n = self.nodes();
         let cfg = self.machine_config()?;
+        let n = self.nodes();
         let root = s.roles.root;
         if root >= n {
             return Err(Error::msg(format!(
@@ -1005,6 +1017,65 @@ mod tests {
         .unwrap();
         let e = compile_err(s);
         assert!(e.message().contains("machine.recovery is off"), "{e}");
+    }
+
+    #[test]
+    fn bad_topologies_are_errors_naming_the_field_and_value() {
+        let cases = [
+            (
+                r#"{"FatTree": {"nodes": 4, "ports": 1}}"#,
+                "FatTree.ports = 1",
+            ),
+            (
+                r#"{"FatTree": {"nodes": 4, "ports": 0}}"#,
+                "FatTree.ports = 0",
+            ),
+            (
+                r#"{"FatTree": {"nodes": 0, "ports": 4}}"#,
+                "FatTree.nodes = 0",
+            ),
+            (
+                r#"{"FatTree": {"nodes": 20000, "ports": 36}}"#,
+                "FatTree.nodes = 20000",
+            ),
+            (
+                r#"{"Dragonfly": {"groups": 0, "routers_per_group": 2, "nodes_per_router": 2}}"#,
+                "Dragonfly.groups = 0",
+            ),
+            (
+                r#"{"Dragonfly": {"groups": 2, "routers_per_group": 0, "nodes_per_router": 2}}"#,
+                "Dragonfly.routers_per_group = 0",
+            ),
+            (
+                r#"{"Dragonfly": {"groups": 2, "routers_per_group": 2, "nodes_per_router": 0}}"#,
+                "Dragonfly.nodes_per_router = 0",
+            ),
+            (
+                r#"{"Dragonfly": {"groups": 65536, "routers_per_group": 65536, "nodes_per_router": 2}}"#,
+                "Dragonfly = 65536 × 65536 × 2",
+            ),
+            (r#"{"Torus": {"dims": []}}"#, "Torus.dims = []"),
+            (r#"{"Torus": {"dims": [4, 0]}}"#, "Torus.dims[1] = 0"),
+            (
+                r#"{"Torus": {"dims": [65536, 65536]}}"#,
+                "Torus.dims = [65536, 65536]",
+            ),
+        ];
+        for (topology, names) in cases {
+            let s = Scenario::from_json(&format!(
+                r#"{{"name": "bad", "topology": {topology}, "workload": {{"Incast": {{"rounds": 1}}}}}}"#
+            ))
+            .unwrap();
+            let compiled =
+                std::panic::catch_unwind(|| ScenarioCompiler::new(s).compile().map(drop))
+                    .unwrap_or_else(|_| panic!("{topology} panicked"));
+            let err = compiled.expect_err(topology);
+            assert!(
+                err.message()
+                    .starts_with(&format!(r#"scenario "bad": topology.{names}:"#)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -481,65 +481,6 @@ impl<E> PendingQueue<E> for CalendarQueue<E> {
         CalendarQueue::len(self)
     }
 
-    fn pop_run(
-        &mut self,
-        key_of: &mut dyn FnMut(&E) -> Option<u128>,
-        out: &mut Vec<(Time, u64, E)>,
-    ) {
-        let Some(first) = self.pop_slot() else {
-            return;
-        };
-        let time = first.time;
-        let key = key_of(&first.event);
-        out.push((Time::from_ps(first.time), first.seq, first.event));
-        self.min_cache.set(MinCache::Dirty);
-        // An unkeyed head is a run of one: no tail probing at all, so the
-        // batched loop costs the same as a plain pop for events that never
-        // batch.
-        let Some(key) = key else {
-            return;
-        };
-        // Fast drain off the sorted tail that just served the minimum: in
-        // small mode the vec tail, otherwise the cursor bucket's tail.
-        // Same-time events always share one bucket (one window covers each
-        // timestamp) or the small vec, so an exhausted tail genuinely ends
-        // the run — no re-searching, no rotation. Resize bookkeeping
-        // (collapse/shrink) is deferred to after the drain: reshuffles
-        // never change the pending set or its (time, seq) order, so doing
-        // it once per run instead of once per pop is order-invariant.
-        let mut drained = false;
-        loop {
-            let tail = if self.small_mode {
-                self.small.last()
-            } else if self.in_buckets > 0 {
-                self.buckets[self.cursor].last()
-            } else {
-                None
-            };
-            match tail {
-                Some(s) if s.time == time && key_of(&s.event) == Some(key) => {}
-                _ => break,
-            }
-            let s = if self.small_mode {
-                self.small.pop().expect("tail checked")
-            } else {
-                let s = self.buckets[self.cursor].pop().expect("tail checked");
-                self.in_buckets -= 1;
-                s
-            };
-            self.note_pop(s.time);
-            drained = true;
-            out.push((Time::from_ps(s.time), s.seq, s.event));
-        }
-        if drained && !self.small_mode {
-            if self.len() < SMALL_MIN {
-                self.collapse();
-            } else {
-                self.maybe_shrink();
-            }
-        }
-    }
-
     fn retain(&mut self, keep: &mut dyn FnMut(Time, u64, &E) -> bool) {
         self.small
             .retain(|s| keep(Time::from_ps(s.time), s.seq, &s.event));

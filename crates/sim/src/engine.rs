@@ -76,47 +76,6 @@ pub trait PendingQueue<E> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Drain a **run** into `out`: the earliest `(time, seq)` event,
-    /// followed by consecutive next-earliest events that (a) carry the
-    /// **same timestamp** and (b) share the first event's `Some` key
-    /// under `key_of` (a `None` first key ends the run immediately —
-    /// unkeyed events are always runs of one, with no tail probing).
-    /// The elements land in `out` in exactly the order repeated
-    /// [`PendingQueue::pop`] would have yielded them, but a backend can
-    /// drain a sorted bucket tail without re-searching the minimum per
-    /// element. A backend may also end a run *early* at an internal
-    /// storage seam (order is unaffected — the remainder simply forms the
-    /// next run), so callers must not assume runs are maximal. `key_of`
-    /// is called exactly once per examined event, so batched dispatch
-    /// pays one key evaluation per event — never two.
-    fn pop_run(
-        &mut self,
-        key_of: &mut dyn FnMut(&E) -> Option<u128>,
-        out: &mut Vec<(Time, u64, E)>,
-    ) {
-        let Some((time, seq, event)) = self.pop() else {
-            return;
-        };
-        let key = key_of(&event);
-        out.push((time, seq, event));
-        let Some(key) = key else {
-            return;
-        };
-        while let Some(t) = self.peek_time() {
-            if t != time {
-                return;
-            }
-            // Peek-by-pop: generic fallback for backends without a cheap
-            // element peek. The event goes straight back if it ends the run.
-            let (nt, ns, next) = self.pop().expect("peek_time said non-empty");
-            if key_of(&next) == Some(key) {
-                out.push((nt, ns, next));
-            } else {
-                self.push(nt, ns, next);
-                return;
-            }
-        }
-    }
     /// Keep only events for which `keep` returns true (tombstoning the
     /// rest), preserving `(time, seq)` order among survivors.
     fn retain(&mut self, keep: &mut dyn FnMut(Time, u64, &E) -> bool);
@@ -159,29 +118,6 @@ impl<E> PendingQueue<E> for HeapQueue<E> {
 
     fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    fn pop_run(
-        &mut self,
-        key_of: &mut dyn FnMut(&E) -> Option<u128>,
-        out: &mut Vec<(Time, u64, E)>,
-    ) {
-        let Some(first) = self.heap.pop() else {
-            return;
-        };
-        let time = first.time;
-        let key = key_of(&first.event);
-        out.push((first.time, first.seq, first.event));
-        let Some(key) = key else {
-            return;
-        };
-        while let Some(next) = self.heap.peek() {
-            if next.time != time || key_of(&next.event) != Some(key) {
-                return;
-            }
-            let s = self.heap.pop().expect("peek said non-empty");
-            out.push((s.time, s.seq, s.event));
-        }
     }
 
     fn retain(&mut self, keep: &mut dyn FnMut(Time, u64, &E) -> bool) {
@@ -261,17 +197,6 @@ impl<E> Pending<E> {
         match self {
             Pending::Calendar(q) => PendingQueue::len(q),
             Pending::Heap(q) => PendingQueue::len(q),
-        }
-    }
-
-    fn pop_run(
-        &mut self,
-        key_of: &mut dyn FnMut(&E) -> Option<u128>,
-        out: &mut Vec<(Time, u64, E)>,
-    ) {
-        match self {
-            Pending::Calendar(q) => q.pop_run(key_of, out),
-            Pending::Heap(q) => q.pop_run(key_of, out),
         }
     }
 
@@ -437,43 +362,6 @@ impl<E> EventQueue<E> {
         posts.into_iter().map(|(_, time, ev)| (time, ev)).collect()
     }
 
-    /// Drain a same-time **run** of events into `out` (cleared first): the
-    /// earliest event plus every consecutive next-earliest event at the
-    /// same timestamp whose `key_of` matches the first event's (a `None`
-    /// key never matches, so an unkeyed event is always a run of one).
-    ///
-    /// This is pure extraction — the clock and executed count do not move.
-    /// The caller dispatches the run via [`EventQueue::begin_event`] per
-    /// element (or hands elements back with [`EventQueue::unpop`]). The
-    /// drained elements are exactly the prefix repeated
-    /// [`EventQueue::pop_next`] calls would have dispatched, in order.
-    pub fn pop_run(
-        &mut self,
-        mut key_of: impl FnMut(&E) -> Option<u128>,
-        out: &mut Vec<(Time, u64, E)>,
-    ) {
-        out.clear();
-        self.pending.pop_run(&mut key_of, out);
-    }
-
-    /// Account one already-extracted event as dispatched: advance the clock
-    /// to its timestamp and bump the executed count. The batched dispatch
-    /// loop calls this per run element so `now()`/`executed()` read exactly
-    /// as they would under single-event dispatch.
-    pub fn begin_event(&mut self, time: Time) {
-        debug_assert!(time >= self.now);
-        self.now = time;
-        self.executed += 1;
-    }
-
-    /// Return an extracted-but-undispatched run element to the queue,
-    /// preserving its original sequence number (so it re-pops in exactly
-    /// its reference position; the global post counter is untouched).
-    pub fn unpop(&mut self, time: Time, seq: u64, event: E) {
-        debug_assert!(time >= self.now, "unpop into the past");
-        self.pending.push(time, seq, event);
-    }
-
     /// Remove (tombstone) every pending event matching `pred`, returning
     /// how many were cancelled. Survivors keep their `(time, seq)` order.
     /// Used when a model-level episode is abandoned and its queued
@@ -495,64 +383,6 @@ impl<E> EventQueue<E> {
 pub trait Dispatch<E> {
     /// Handle one event at time `now`, possibly posting follow-ups.
     fn dispatch(&mut self, queue: &mut EventQueue<E>, now: Time, event: E);
-}
-
-/// Batch-aware dispatch: worlds that can classify events into **runs**
-/// (same-time, same-key bursts) and process a whole run in one call.
-///
-/// [`Engine::run_batched`] produces exactly the same event order, clock,
-/// and executed count as [`Engine::run`] — batching is an execution
-/// strategy, not a model change — which the default `dispatch_run`
-/// (dispatching the run one element at a time) makes literal. A world
-/// overrides `dispatch_run` to amortize per-event work (one lookup, one
-/// split-borrow, one stats flush per run) and must then reproduce the
-/// single-event path's observable state bit-for-bit.
-pub trait BatchDispatch<E>: Dispatch<E> {
-    /// The run key of an event, or `None` if it never batches. Two
-    /// same-time events with equal `Some` keys may be extracted as one
-    /// run; keys are opaque to the engine.
-    fn run_key(&self, event: &E) -> Option<u128>;
-
-    /// Process one extracted run (`batch.len() >= 1`, all elements at one
-    /// timestamp, in reference dispatch order). Implementations must call
-    /// [`EventQueue::begin_event`] per element they consume (in order) so
-    /// the clock and executed count stay reference-exact, and may hand a
-    /// suffix back via [`EventQueue::unpop`] to bail out mid-run.
-    fn dispatch_run(&mut self, queue: &mut EventQueue<E>, batch: &mut Vec<(Time, u64, E)>) {
-        dispatch_run_singly(self, queue, batch);
-    }
-}
-
-/// Reference way to consume an extracted run: dispatch its elements one at
-/// a time through the plain [`Dispatch`] path. Also the bail-out every
-/// vectored `dispatch_run` falls back to when a run turns out not to be
-/// vectorizable after all.
-///
-/// Defensive detail: if a dispatched element posts an event that sorts
-/// before a not-yet-dispatched run element (impossible for same-time runs
-/// — posts never precede `now` — but cheap to guard), the remaining
-/// elements go back via [`EventQueue::unpop`] so the engine re-extracts
-/// them in true global order.
-pub fn dispatch_run_singly<E, W: Dispatch<E> + ?Sized>(
-    world: &mut W,
-    queue: &mut EventQueue<E>,
-    batch: &mut Vec<(Time, u64, E)>,
-) {
-    // Consume from the front by reversing once and popping from the tail.
-    batch.reverse();
-    let mut first = true;
-    while let Some(&(time, _, _)) = batch.last() {
-        if !first && queue.peek_time().is_some_and(|t| t < time) {
-            while let Some((t, s, ev)) = batch.pop() {
-                queue.unpop(t, s, ev);
-            }
-            return;
-        }
-        first = false;
-        let (time, _seq, ev) = batch.pop().expect("checked non-empty");
-        queue.begin_event(time);
-        world.dispatch(queue, time, ev);
-    }
 }
 
 /// The simulation driver: owns the queue and runs it to quiescence.
@@ -616,36 +446,6 @@ impl<E> Engine<E> {
     pub fn run_with(&mut self, mut f: impl FnMut(&mut EventQueue<E>, Time, E)) -> Time {
         while let Some((now, ev)) = self.queue.pop_next() {
             f(&mut self.queue, now, ev);
-            if self.max_events != 0 && self.queue.executed() > self.max_events {
-                panic!(
-                    "event limit exceeded ({} events executed, {} pending) — runaway simulation?",
-                    self.queue.executed(),
-                    self.queue.pending()
-                );
-            }
-        }
-        self.queue.now()
-    }
-
-    /// Run until the queue is empty, extracting same-time same-key runs
-    /// and handing them to `world`'s [`BatchDispatch::dispatch_run`];
-    /// single-element runs go through the plain [`Dispatch`] path so the
-    /// reference code keeps executing everywhere batching can't help.
-    /// Event order, clock, and executed count are identical to
-    /// [`Engine::run`] by construction.
-    pub fn run_batched<W: BatchDispatch<E>>(&mut self, world: &mut W) -> Time {
-        let mut batch: Vec<(Time, u64, E)> = Vec::new();
-        loop {
-            self.queue.pop_run(|e| world.run_key(e), &mut batch);
-            match batch.len() {
-                0 => break,
-                1 => {
-                    let (time, _seq, ev) = batch.pop().expect("checked non-empty");
-                    self.queue.begin_event(time);
-                    world.dispatch(&mut self.queue, time, ev);
-                }
-                _ => world.dispatch_run(&mut self.queue, &mut batch),
-            }
             if self.max_events != 0 && self.queue.executed() > self.max_events {
                 panic!(
                     "event limit exceeded ({} events executed, {} pending) — runaway simulation?",
@@ -998,120 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_run_extracts_same_time_same_key_prefixes() {
-        // Key = low nibble; events 0x10/0x20 share time 5 but differ in
-        // key from 0x11; 0x0F is unkeyed (None) and never batches.
-        let key = |e: &u32| -> Option<u128> {
-            if *e == 0x0F {
-                None
-            } else {
-                Some((*e & 0xF) as u128)
-            }
-        };
-        for b in BOTH {
-            let mut q = EventQueue::with_backend(b);
-            q.post_at(Time::from_ns(5), 0x10u32);
-            q.post_at(Time::from_ns(5), 0x20);
-            q.post_at(Time::from_ns(5), 0x11);
-            q.post_at(Time::from_ns(5), 0x30);
-            q.post_at(Time::from_ns(7), 0x40);
-            let mut run = Vec::new();
-            // Run 1: the two leading key-0 events; 0x11 (key 1) ends it.
-            q.pop_run(key, &mut run);
-            let evs: Vec<u32> = run.iter().map(|&(_, _, e)| e).collect();
-            assert_eq!(evs, vec![0x10, 0x20], "{b:?}");
-            assert_eq!(run[0].0, Time::from_ns(5));
-            // Clock/executed untouched by extraction.
-            assert_eq!(q.executed(), 0);
-            assert_eq!(q.now(), Time::ZERO);
-            // Run 2: 0x11 alone — 0x30 matches its time but not its key.
-            q.pop_run(key, &mut run);
-            assert_eq!(run.len(), 1, "{b:?}");
-            assert_eq!(run[0].2, 0x11);
-            // Run 3: 0x30 alone — 0x40 shares its key (0) but not its time.
-            q.pop_run(key, &mut run);
-            assert_eq!(run.len(), 1, "{b:?}");
-            assert_eq!(run[0].2, 0x30);
-            q.pop_run(key, &mut run);
-            assert_eq!(run.len(), 1);
-            assert_eq!(run[0].2, 0x40);
-            q.pop_run(key, &mut run);
-            assert!(run.is_empty(), "{b:?}: drained");
-        }
-    }
-
-    #[test]
-    fn pop_run_matches_repeated_pop_next_exactly() {
-        // Differential: interleave keyed bursts and unkeyed singles at
-        // clashing timestamps; concatenated pop_run output must equal the
-        // pop_next sequence element for element on both backends.
-        let key = |e: &u64| -> Option<u128> {
-            if e.is_multiple_of(3) {
-                None
-            } else {
-                Some((e % 5) as u128)
-            }
-        };
-        for b in BOTH {
-            let fill = |q: &mut EventQueue<u64>| {
-                for i in 0..200u64 {
-                    q.post_at(Time::from_ps((i * 37) % 11 * 1024), i);
-                }
-            };
-            let mut reference = EventQueue::with_backend(b);
-            fill(&mut reference);
-            let mut expected = Vec::new();
-            while let Some((t, e)) = reference.pop_next() {
-                expected.push((t, e));
-            }
-            let mut q = EventQueue::with_backend(b);
-            fill(&mut q);
-            let mut got = Vec::new();
-            let mut run = Vec::new();
-            loop {
-                q.pop_run(key, &mut run);
-                if run.is_empty() {
-                    break;
-                }
-                for &(t, _, e) in &run {
-                    got.push((t, e));
-                }
-            }
-            assert_eq!(got, expected, "{b:?}");
-        }
-    }
-
-    #[test]
-    fn unpop_restores_reference_order() {
-        for b in BOTH {
-            let mut q = EventQueue::with_backend(b);
-            for i in 0..6u32 {
-                q.post_at(Time::from_ns(5), i);
-            }
-            let mut run = Vec::new();
-            q.pop_run(|_| Some(1), &mut run);
-            assert_eq!(run.len(), 6);
-            // Dispatch the first two, hand the rest back.
-            for &(t, _, _) in run.iter().take(2) {
-                q.begin_event(t);
-            }
-            for (t, s, e) in run.drain(2..) {
-                q.unpop(t, s, e);
-            }
-            assert_eq!(q.executed(), 2);
-            assert_eq!(q.now(), Time::from_ns(5));
-            // The suffix re-pops in its original order, ahead of a newer
-            // same-time post (which gets a larger seq).
-            q.post_now(99);
-            let mut seen = Vec::new();
-            while let Some((_, e)) = q.pop_next() {
-                seen.push(e);
-            }
-            assert_eq!(seen, vec![2, 3, 4, 5, 99], "{b:?}");
-        }
-    }
-
-    #[test]
     fn cancel_where_tombstones_matching_events() {
         for b in BOTH {
             let mut q = EventQueue::with_backend(b);
@@ -1129,58 +815,6 @@ mod tests {
                 seen.push(e);
             }
             assert_eq!(seen, vec![0, 4, 8, 2, 6], "{b:?}");
-        }
-    }
-
-    #[test]
-    fn run_batched_matches_run_with_default_dispatch_run() {
-        // A world that batches even events by value-class and posts
-        // follow-ups mid-run; the default dispatch_run must reproduce the
-        // single-event engine's trace, clock, and executed count exactly.
-        #[derive(Default)]
-        struct W {
-            trace: Vec<(Time, u32)>,
-        }
-        impl Dispatch<u32> for W {
-            fn dispatch(&mut self, q: &mut EventQueue<u32>, now: Time, ev: u32) {
-                self.trace.push((now, ev));
-                if (100..103).contains(&ev) {
-                    // Same-time follow-up lands after the current run...
-                    q.post_now(ev - 100);
-                    // ...and a later one opens a new run.
-                    q.post_in(Time::from_ns(1), ev + 1);
-                }
-            }
-        }
-        impl BatchDispatch<u32> for W {
-            fn run_key(&self, ev: &u32) -> Option<u128> {
-                (*ev).is_multiple_of(2).then_some((*ev % 4) as u128)
-            }
-        }
-        for b in BOTH {
-            let seed = |engine: &mut Engine<u32>| {
-                for i in 0..40u32 {
-                    engine
-                        .queue_mut()
-                        .post_at(Time::from_ns(u64::from(i % 5)), i % 8);
-                }
-                engine.queue_mut().post_at(Time::from_ns(2), 100);
-                engine.queue_mut().post_at(Time::from_ns(2), 101);
-                engine.queue_mut().post_at(Time::from_ns(2), 102);
-            };
-            let mut reference = Engine::with_backend(b);
-            seed(&mut reference);
-            let mut rw = W::default();
-            let r_end = reference.run(&mut rw);
-
-            let mut batched = Engine::with_backend(b);
-            seed(&mut batched);
-            let mut bw = W::default();
-            let b_end = batched.run_batched(&mut bw);
-
-            assert_eq!(bw.trace, rw.trace, "{b:?}");
-            assert_eq!(b_end, r_end);
-            assert_eq!(batched.executed(), reference.executed());
         }
     }
 

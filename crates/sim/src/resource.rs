@@ -213,35 +213,6 @@ impl IntervalResource {
         }
     }
 
-    /// Tail-append fast path for batched reservation runs: grant
-    /// `[max(earliest, horizon), …)` directly, extending the final busy
-    /// interval in place instead of gap-searching.
-    ///
-    /// This is **only** equivalent to [`IntervalResource::reserve`] when
-    /// the caller has established that `reserve` would land at the tail —
-    /// i.e. no interior gap at or after `earliest` can hold `duration`.
-    /// The batched DMA writer (`spin-hpu`) proves this per run: once one
-    /// reservation of duration `d` is granted at the tail, every interior
-    /// gap at or after its `earliest` is `< d`, so a subsequent request
-    /// with the same duration and an `earliest` no smaller than the
-    /// previous one must land at the (new) tail too. Requests that break
-    /// the induction (shorter final packet, earlier issue) fall back to
-    /// the full `reserve`.
-    pub fn reserve_append(&mut self, earliest: Time, duration: Time) -> (Time, Time) {
-        self.jobs += 1;
-        self.busy_total += duration;
-        if duration == Time::ZERO {
-            return (earliest, earliest);
-        }
-        let start = earliest.max(self.horizon());
-        let end = start + duration;
-        match self.busy.last_mut() {
-            Some(last) if last.1 == start => last.1 = end,
-            _ => self.busy.push((start, end)),
-        }
-        (start, end)
-    }
-
     /// Total busy time.
     pub fn busy_total(&self) -> Time {
         self.busy_total
@@ -405,79 +376,6 @@ mod tests {
         let (s, e) = r.reserve(Time::ZERO, Time::from_ns(10));
         assert_eq!((s, e), (Time::from_ns(10), Time::from_ns(20)));
         assert_eq!(r.busy.len(), 1, "fully coalesced");
-    }
-
-    #[test]
-    fn reserve_append_matches_reserve_under_run_conditions() {
-        // Pre-load both copies with an identical messy history (future
-        // holes, back-fills), then issue runs that satisfy the tail-append
-        // induction: first grant at the tail, equal durations, ascending
-        // issues. Grants and busy lists must match `reserve` exactly.
-        let mut x = 0x2545F4914F6CDD1Du64;
-        let mut rng = move |m: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % m
-        };
-        for _ in 0..200 {
-            let mut a = IntervalResource::new();
-            let mut b = IntervalResource::new();
-            let mut clock = 0u64;
-            for _ in 0..rng(8) {
-                let at = Time::from_ns(rng(500));
-                let d = Time::from_ns(rng(40) + 1);
-                assert_eq!(a.reserve(at, d), b.reserve(at, d));
-                clock = clock.max(a.horizon().ps() / crate::time::NS);
-            }
-            // The run: the first reservation goes through `reserve` on
-            // both (the fast path requires a tail-landing witness) …
-            let d = Time::from_ns(rng(30) + 1);
-            let mut issue = Time::from_ns(clock + rng(100));
-            let (s_a, e_a) = a.reserve(issue, d);
-            let (s_b, e_b) = b.reserve(issue, d);
-            assert_eq!((s_a, e_a), (s_b, e_b));
-            if e_a < a.horizon() {
-                continue; // back-filled, not a tail landing; the fast
-                          // path wouldn't engage on this run
-            }
-            // … then equal-duration ascending-issue packets take the
-            // append path on `a` and the full search on `b`.
-            for _ in 0..rng(20) + 1 {
-                issue += Time::from_ns(rng(10));
-                assert_eq!(a.reserve_append(issue, d), b.reserve(issue, d));
-            }
-            assert_eq!(a.busy, b.busy, "busy lists diverged");
-            assert_eq!(a.busy_total(), b.busy_total());
-            assert_eq!(a.jobs(), b.jobs());
-        }
-    }
-
-    #[test]
-    fn reserve_append_zero_duration_and_gap_jump() {
-        let mut r = IntervalResource::new();
-        assert_eq!(
-            r.reserve_append(Time::from_ns(5), Time::ZERO),
-            (Time::from_ns(5), Time::from_ns(5))
-        );
-        assert!(r.busy.is_empty(), "zero-duration leaves no interval");
-        r.reserve_append(Time::from_ns(10), Time::from_ns(10));
-        // An issue past the horizon opens a new tail interval…
-        r.reserve_append(Time::from_ns(100), Time::from_ns(10));
-        assert_eq!(
-            r.busy,
-            vec![
-                (Time::from_ns(10), Time::from_ns(20)),
-                (Time::from_ns(100), Time::from_ns(110))
-            ]
-        );
-        // …and a back-to-back one extends it in place.
-        r.reserve_append(Time::from_ns(50), Time::from_ns(10));
-        assert_eq!(
-            r.busy.last(),
-            Some(&(Time::from_ns(100), Time::from_ns(120)))
-        );
-        assert_eq!(r.horizon(), Time::from_ns(120));
     }
 
     #[test]

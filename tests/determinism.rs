@@ -12,6 +12,7 @@ use spin_core::world::{Report, SimBuilder};
 use spin_hpu::ctx::{CompletionRet, HeaderRet, PayloadRet};
 use spin_hpu::pool::HpuConfig;
 use spin_portals::types::UserHeader;
+use spin_sim::time::{BytesPerTime, Time};
 
 #[test]
 fn every_transport_and_nic_kind_is_deterministic() {
@@ -426,5 +427,80 @@ fn golden_fat_tree_cross_pod_matrix() {
     assert_eq!(
         got, 0xc168fc2e110a6a9bu64,
         "fat-tree golden diverged (hash {got:#x}):\n{fp}"
+    );
+}
+
+// ------------------------------------------------- zero-occupancy incast
+//
+// With zero per-packet occupancy (`g = 0`, `G = 0`) the ingress link no
+// longer serializes, so every follow-on packet of a multi-packet message
+// arrives at the same instant. Five senders each fire a 4-packet acked put
+// at rank 0 and then read a 3-packet reply back with a get, stacking
+// several such same-instant packet trains at the victim. The golden pins
+// how the receive path handles them; its hash was taken while the engine
+// still drained such trains through a separate batched path.
+
+mod incast {
+    pub const RECV: usize = 0x10_0000;
+    pub const SEND: usize = 0x1000;
+    pub const REPLY: usize = 0x30_0000;
+}
+
+struct IncastNode {
+    sender: bool,
+}
+
+impl HostProgram for IncastNode {
+    fn on_start(&mut self, api: &mut HostApi<'_>) {
+        api.me_append(MeSpec::recv(0, 1, (incast::RECV, 1 << 17)));
+        let pattern: Vec<u8> = (0..3 * MTU + 99).map(|i| (i * 37 % 253) as u8).collect();
+        api.write_host(incast::SEND, &pattern);
+        if self.sender {
+            api.set_timer(Time::from_ns(1_000), 0);
+            api.set_timer(Time::from_ns(2_500), 1);
+        }
+        api.mark("armed");
+    }
+
+    fn on_timer(&mut self, token: u64, api: &mut HostApi<'_>) {
+        if token == 0 {
+            // 4 packets: header + 3 follow-ons.
+            api.put(PutArgs::from_host(0, 0, 1, incast::SEND, 3 * MTU + 321).with_ack());
+        } else {
+            // A 3-packet reply stream back.
+            api.get(0, 0, 1, 0, 2 * MTU + 17, incast::REPLY + 0x2000);
+        }
+    }
+
+    fn on_event(&mut self, ev: &spin_portals::eq::FullEvent, api: &mut HostApi<'_>) {
+        api.mark(format!("{:?}-p{}-m{}", ev.kind, ev.peer, ev.mlength));
+    }
+}
+
+#[test]
+fn golden_zero_occupancy_incast() {
+    let mut config = MachineConfig::paper(NicKind::Integrated);
+    config.net.switch_ports = 4;
+    config.net.g = Time::ZERO;
+    config.net.big_g = BytesPerTime::from_ps_per_byte(0);
+    let report = SimBuilder::new(config)
+        .nodes_with(6, |r| Box::new(IncastNode { sender: r != 0 }))
+        .run()
+        .report;
+    // Not vacuous: the incast actually moved multi-packet traffic.
+    assert!(
+        report.net_packets >= 30,
+        "incast sent only {} packets",
+        report.net_packets
+    );
+    let fp = fingerprint(&report);
+    let got = fnv1a(&fp);
+    if std::env::var_os("GOLDEN_CAPTURE").is_some() {
+        eprintln!("zero-occupancy incast golden: {got:#x}u64");
+        return;
+    }
+    assert_eq!(
+        got, 0x5632_2888_7973_b7fdu64,
+        "zero-occupancy incast golden diverged (hash {got:#x}):\n{fp}"
     );
 }
