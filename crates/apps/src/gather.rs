@@ -25,6 +25,19 @@ fn gather_region(r: u32) -> (usize, usize) {
     (0x1_0000 + r as usize * 0x2000, 0x2000)
 }
 
+/// One past the highest host-memory byte the layout uses on any rank: the
+/// root's gather regions, the exchange-ring landing region, and a leaf's
+/// send staging (`put_bytes` and `ring_bytes` are both read from it). A
+/// node's host memory must be at least this large. Needs `root < n` and
+/// `n >= 2`, as [`builder`] does.
+pub fn layout_end(n: u32, root: u32, put_bytes: usize, ring_bytes: usize) -> usize {
+    // The highest-numbered sender: rank n - 1, unless that is the root.
+    let (base, len) = gather_region(if root == n - 1 { n - 2 } else { n - 1 });
+    (base + len)
+        .max(XCHG_DST + 0x1000)
+        .max(SEND_SRC.saturating_add(put_bytes.max(ring_bytes)))
+}
+
 /// Gather root: one ME per sender (tagged by sender rank), plus the
 /// exchange-ring ME.
 struct GatherRoot;
@@ -81,7 +94,8 @@ impl HostProgram for GatherLeaf {
 
 /// Build the gather world: rank `root` runs the gather root, every other
 /// rank a leaf. The config is taken as given (topology, memory size, and
-/// seed are the caller's responsibility).
+/// seed are the caller's responsibility; the memory must reach
+/// [`layout_end`]).
 pub fn builder(
     config: MachineConfig,
     n: u32,
@@ -143,6 +157,18 @@ mod tests {
             .filter(|(_, l, _)| l.contains("-Put-") && l.contains("m256"))
             .count();
         assert_eq!(ring, 11, "all 11 exchange puts delivered");
+    }
+
+    #[test]
+    fn layout_end_covers_the_last_senders_region() {
+        // Root 0: the last region is sender 99's.
+        assert_eq!(layout_end(100, 0, 6000, 256), 0x1_0000 + 100 * 0x2000);
+        // Root 99: sender 98's region is the last one armed.
+        assert_eq!(layout_end(100, 99, 6000, 256), 0x1_0000 + 99 * 0x2000);
+        // Few senders: the exchange-ring region at 0x8_0000 ends the layout.
+        assert_eq!(layout_end(2, 0, 2048, 128), 0x8_1000);
+        // A ring put larger than the memory is read from the staging area.
+        assert_eq!(layout_end(2, 0, 2048, 1 << 30), 0x1000 + (1 << 30));
     }
 
     #[test]

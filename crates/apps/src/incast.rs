@@ -24,6 +24,16 @@ fn gather_region(r: u32) -> (usize, usize) {
     (0x1_0000 + r as usize * 0x2000, 0x2000)
 }
 
+/// One past the highest host-memory byte the layout uses on any rank: the
+/// root's gather regions, the ring landing region, and a leaf's send
+/// staging. A node's host memory must be at least this large. Needs
+/// `root < n` and `n >= 2`, as [`builder`] does.
+pub fn layout_end(n: u32, root: u32) -> usize {
+    // The highest-numbered sender: rank n - 1, unless that is the root.
+    let (base, len) = gather_region(if root == n - 1 { n - 2 } else { n - 1 });
+    (base + len).max(RING_DST + 0x1000).max(SEND_SRC + 2 * MTU)
+}
+
 /// Gather root: one ME per sender per round, plus the ring MEs.
 struct IncastRoot {
     rounds: u32,
@@ -106,7 +116,8 @@ impl HostProgram for IncastLeaf {
 }
 
 /// Build the incast world: rank `root` gathers, every other rank streams
-/// `rounds` acked puts at it. The config is taken as given.
+/// `rounds` acked puts at it. The config is taken as given; its memory
+/// must reach [`layout_end`].
 pub fn builder(config: MachineConfig, n: u32, root: u32, rounds: u32) -> SimBuilder {
     assert!(n >= 2, "incast needs a root and at least one leaf");
     assert!(root < n, "root rank {root} out of range for {n} nodes");
@@ -139,5 +150,14 @@ mod tests {
             .filter(|(_, l, _)| l.contains("leaf-Ack"))
             .count();
         assert_eq!(acks, 17 * 2, "acked gather puts");
+    }
+
+    #[test]
+    fn layout_end_grows_with_the_sender_count() {
+        assert_eq!(layout_end(2, 0), 0x9_1000, "the ring region ends it");
+        assert_eq!(layout_end(1024, 0), 0x1_0000 + 1024 * 0x2000);
+        assert_eq!(layout_end(1024, 1023), 0x1_0000 + 1023 * 0x2000);
+        // Past about 8,000 senders the layout outgrows a 64 MiB node.
+        assert!(layout_end(9000, 0) > 64 << 20);
     }
 }

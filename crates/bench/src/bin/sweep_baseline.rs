@@ -317,7 +317,7 @@ fn main() {
             "  \"environment\": {{ \"cores\": {cores}, \"parallel_jobs\": {par_jobs}, \"host_page_bytes\": {HOST_PAGE}, \"mtu\": {MTU} }},\n"
         ));
         doc.push_str(
-            "  \"change\": \"parallel sweep harness (crates/experiments/src/sweep.rs: (point, replication, seed) cells fanned out over the vendored rayon with an order-preserving merge; SPIN_JOBS / --jobs selects workers) + copy-on-write paged HostMemory (64 KiB Arc pages; injection snapshots a payload by bumping page refcounts instead of copying it)\",\n",
+            "  \"change\": \"parallel sweep harness (crates/experiments/src/sweep.rs: (point, replication, seed) cells fanned out over the vendored rayon with an order-preserving merge; SPIN_JOBS / --jobs selects workers) + copy-on-write paged HostMemory (HOST_PAGE-sized Arc pages, recorded under environment; injection snapshots a payload by bumping page refcounts instead of copying it)\",\n",
         );
         doc.push_str("  \"sweep_ab\": [\n");
         emit_cells(&mut doc, &sweep_results, "speedup_x");

@@ -149,7 +149,9 @@ pub struct MachineKnobs {
     /// impairments).
     #[serde(default)]
     pub recovery: bool,
-    /// Host memory bytes per node; absent = the workload's default.
+    /// Host memory bytes per node of the gather and incast workloads;
+    /// absent = the paper's 64 MiB. It must reach the workload's layout
+    /// end. The other workloads size memory to their own layout.
     #[serde(default)]
     pub mem_size: Option<u64>,
     /// OS noise on host cores (default none).
@@ -499,15 +501,7 @@ impl ScenarioCompiler {
             cfg = cfg.with_faults(self.fault_plan()?);
         }
         if let Some(mem) = s.machine.mem_size {
-            cfg.host.mem_size = mem as usize;
-        } else if matches!(
-            s.workload,
-            Workload::Gather { .. } | Workload::Incast { .. }
-        ) {
-            // The gather/incast twins size memory exactly like their
-            // hand-coded counterparts; the other workloads' builders size
-            // it themselves.
-            cfg.host.mem_size = 1 << 20;
+            cfg.host.mem_size = usize::try_from(mem).unwrap_or(usize::MAX);
         }
         Ok(cfg)
     }
@@ -579,6 +573,35 @@ impl ScenarioCompiler {
         Ok(plan)
     }
 
+    /// Gather and incast take the memory size as given (the other
+    /// builders size it to their own layout): it must hold the layout.
+    fn check_layout_fits(&self, mem_size: usize, n: u32, root: u32) -> Result<(), Error> {
+        let s = &self.scenario;
+        let layout_end = match &s.workload {
+            Workload::Gather {
+                put_bytes,
+                ring_bytes,
+                ..
+            } => spin_apps::gather::layout_end(n, root, *put_bytes, *ring_bytes),
+            Workload::Incast { .. } => spin_apps::incast::layout_end(n, root),
+            _ => 0,
+        };
+        if mem_size < layout_end {
+            let default = if s.machine.mem_size.is_none() {
+                " (the default)"
+            } else {
+                ""
+            };
+            return Err(Error::msg(format!(
+                "scenario {:?}: machine.mem_size = {mem_size}{default} is below the {} \
+                 layout's end at {n} nodes; it must be at least {layout_end}",
+                s.name,
+                s.workload.kind()
+            )));
+        }
+        Ok(())
+    }
+
     /// Compile to a ready-to-run builder.
     pub fn compile(&self) -> Result<SimBuilder, Error> {
         let s = &self.scenario;
@@ -610,6 +633,7 @@ impl ScenarioCompiler {
             }
             Ok(())
         };
+        self.check_layout_fits(cfg.host.mem_size, n, root)?;
         match &s.workload {
             Workload::Gather {
                 put_bytes,
@@ -1075,6 +1099,72 @@ mod tests {
                     .starts_with(&format!(r#"scenario "bad": topology.{names}:"#)),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn host_memory_sizing_is_a_run_or_a_named_error_never_a_panic() {
+        const INCAST: &str = r#"{"Incast": {"rounds": 1}}"#;
+        const GATHER: &str = r#"{"Gather": {"put_bytes": 2048, "ring_bytes": 128, "stride": 1}}"#;
+        const TREE4: &str = r#"{"FatTree": {"nodes": 4, "ports": 4}}"#;
+        // (what, topology, machine knobs, workload, None for a clean run or
+        // Some(the error after the scenario name)).
+        let cases = [
+            (
+                "256-node incast at the default size",
+                r#"{"FatTree": {"nodes": 256, "ports": 16}}"#,
+                "{}",
+                INCAST,
+                None,
+            ),
+            (
+                "mem_size 0",
+                TREE4,
+                r#"{"mem_size": 0}"#,
+                INCAST,
+                Some("machine.mem_size = 0 is below the incast layout's end at 4 nodes; it must be at least 593920"),
+            ),
+            (
+                "mem_size u64::MAX",
+                TREE4,
+                r#"{"mem_size": 18446744073709551615}"#,
+                INCAST,
+                None,
+            ),
+            (
+                "9,000-node incast at the default size",
+                r#"{"FatTree": {"nodes": 9000, "ports": 36}}"#,
+                "{}",
+                INCAST,
+                Some("machine.mem_size = 67108864 (the default) is below the incast layout's end at 9000 nodes; it must be at least 73793536"),
+            ),
+            (
+                "gather in one page",
+                TREE4,
+                r#"{"mem_size": 4096}"#,
+                GATHER,
+                Some("machine.mem_size = 4096 is below the gather layout's end at 4 nodes; it must be at least 528384"),
+            ),
+        ];
+        for (what, topology, machine, workload, want) in cases {
+            let s = Scenario::from_json(&format!(
+                r#"{{"name": "mem", "topology": {topology}, "machine": {machine},
+                    "workload": {workload}}}"#
+            ))
+            .unwrap();
+            let run = std::panic::catch_unwind(|| {
+                ScenarioCompiler::new(s)
+                    .run(1)
+                    .map(|out| out.report.events_executed)
+            })
+            .unwrap_or_else(|_| panic!("{what} panicked"));
+            match (run, want) {
+                (Ok(events), None) => assert!(events > 0, "{what} ran no events"),
+                (Err(e), Some(want)) => {
+                    assert_eq!(e.message(), format!(r#"scenario "mem": {want}"#), "{what}")
+                }
+                (run, _) => panic!("{what}: {run:?}"),
+            }
         }
     }
 
