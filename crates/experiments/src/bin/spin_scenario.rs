@@ -8,8 +8,9 @@
 //! With no files, runs the whole `scenarios/` corpus under the current
 //! directory. Each file prints one table to stdout and one
 //! `scenario <file>: digest 0x...` line to stderr (capture it to pin a
-//! new scenario's `expect.digest`). Any expectation failure — digest
-//! mismatch, too few NACKs/retransmits — exits non-zero.
+//! new scenario's `expect.digest`). A bad command line exits 2 with the
+//! usage text; a file that fails to load or compile, or any expectation
+//! failure — digest mismatch, too few NACKs/retransmits — exits 1.
 
 use spin_experiments::{emit, scenario_runner, Opts};
 
@@ -20,9 +21,17 @@ const USAGE: &str = "usage: spin-scenario [FILE ...] [--json] [--jobs N] [--reps
   --reps R   replications per scenario, mean ± 95% CI when R > 1\n\
   --quick    accepted for harness compatibility (corpus files are already quick-sized)";
 
+/// A failed run: a file did not load or compile, or missed an expectation.
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// A bad command line.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -39,7 +48,7 @@ fn main() {
                 let n = it
                     .next()
                     .and_then(|n| n.parse::<usize>().ok())
-                    .unwrap_or_else(|| die("--jobs needs a worker count"));
+                    .unwrap_or_else(|| usage_error("--jobs needs a worker count"));
                 opts.jobs = Some(n);
                 std::env::set_var("SPIN_JOBS", n.to_string());
             }
@@ -48,17 +57,13 @@ fn main() {
                     .next()
                     .and_then(|r| r.parse::<u32>().ok())
                     .filter(|&r| r >= 1)
-                    .unwrap_or_else(|| die("--reps needs a replication count >= 1"));
+                    .unwrap_or_else(|| usage_error("--reps needs a replication count >= 1"));
             }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return;
             }
-            flag if flag.starts_with('-') => {
-                eprintln!("error: bad argument {flag:?}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
+            flag if flag.starts_with('-') => usage_error(&format!("bad argument {flag:?}")),
             file => files.push(file.to_string()),
         }
     }

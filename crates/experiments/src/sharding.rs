@@ -3,22 +3,23 @@
 //!
 //! The determinism goldens run 2- and 12-node worlds — big enough to pin
 //! semantics, too small for a parallel engine to earn its keep. This
-//! module builds the scenario the sharding benchmark and CI smoke run
-//! drive: a 3-level fat tree of dozens of endpoints where every leaf
-//! streams multi-packet acked puts at one gather root (sustained incast on
-//! the root's ingress link — the global resource the coordinator's ledger
-//! serializes) while simultaneously exchanging smaller puts around a
-//! cross-pod ring (so every shard both sends and receives across shard
-//! boundaries in every window).
+//! module builds the scenario `tests/scenario_equivalence.rs` and the
+//! tests below drive: a 3-level fat tree of dozens of endpoints where
+//! every leaf streams multi-packet acked puts at one gather root
+//! (sustained incast on the root's ingress link — the global resource the
+//! coordinator's ledger serializes) while simultaneously exchanging
+//! smaller puts around a cross-pod ring (so every shard both sends and
+//! receives across shard boundaries in every window).
 //!
 //! The programs live in [`spin_apps::incast`] (shared with the scenario
 //! compiler); this module fixes the machine shape. The same builder runs
 //! on the serial engine or on any shard count, and [`digest`] folds the
 //! full report into one number so callers can assert the two engines agree
-//! bit-for-bit while timing them.
+//! bit-for-bit.
 
 use spin_core::config::{MachineConfig, NicKind};
 use spin_core::world::{Report, ShardMode, SimBuilder};
+use spin_sim::fnv1a;
 
 /// The incast world: `n` endpoints on a radix-8 fat tree (3 levels from
 /// 17 endpoints up: leaves of 4, pods of 16).
@@ -27,15 +28,6 @@ pub fn incast_builder(n: u32, rounds: u32) -> SimBuilder {
     config.net.switch_ports = 8;
     config.host.mem_size = 1 << 20;
     spin_apps::incast::builder(config, n, 0, rounds)
-}
-
-/// Scenario size for the benchmark: (nodes, rounds).
-pub fn scale(quick: bool) -> (u32, u32) {
-    if quick {
-        (24, 3)
-    } else {
-        (48, 6)
-    }
 }
 
 /// Run the scenario on the serial engine (`shards <= 1`) or the sharded
@@ -71,7 +63,7 @@ pub fn digest(r: &Report) -> u64 {
         writeln!(out, "node{i} {s:?}").unwrap();
     }
     writeln!(out, "net packets={} bytes={}", r.net_packets, r.net_bytes).unwrap();
-    fnv1a(&out)
+    fnv1a(out.as_bytes())
 }
 
 /// FNV-1a over the *count-stable* observables only: fabric totals, event
@@ -122,15 +114,7 @@ pub fn delivery_digest(r: &Report) -> u64 {
         )
         .unwrap();
     }
-    fnv1a(&out)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(out.as_bytes())
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! **Worker count:** `--jobs N` on any experiment binary (see
 //! [`crate::Opts`]) or the `SPIN_JOBS` environment variable; `0`/unset
 //! means one worker per available core. `SPIN_JOBS=1` forces the serial
-//! reference path (also used by the `sweep_baseline` A/B emitter).
+//! reference path.
 
 use rayon::prelude::*;
 use spin_sim::rng::cell_seed;

@@ -289,9 +289,40 @@ fn bin_spin_scenario_fails_loudly_on_a_digest_mismatch() {
         .arg(&path)
         .output()
         .expect("spawn spin-scenario");
-    assert!(!out.status.success(), "digest mismatch exited zero");
+    assert_eq!(out.status.code(), Some(1), "a failed expectation exits 1");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("pinned 0x1"), "stderr: {stderr}");
+}
+
+#[test]
+fn bin_spin_scenario_exit_codes_tell_usage_from_failure() {
+    // A bad command line exits 2 with the usage text, like every other
+    // binary; a scenario that cannot run exits 1.
+    for args in [
+        &["--jobs", "x"][..],
+        &["--reps", "0"],
+        &["--reps", "abc"],
+        &["--reps"],
+        &["--bogus"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_spin-scenario"))
+            .args(args)
+            .output()
+            .expect("spawn spin-scenario");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: spin-scenario"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_spin-scenario"))
+        .arg("no-such-scenario.json")
+        .output()
+        .expect("spawn spin-scenario");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "missing file: {stderr}");
+    assert!(!stderr.contains("usage:"), "missing file: {stderr}");
 }
 
 #[test]

@@ -882,12 +882,7 @@ pub fn fingerprint(r: &Report) -> String {
 
 /// FNV-1a over the fingerprint: one stable u64 per run.
 pub fn digest(r: &Report) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in fingerprint(r).bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    spin_sim::fnv1a(fingerprint(r).as_bytes())
 }
 
 #[cfg(test)]

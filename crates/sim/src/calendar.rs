@@ -94,8 +94,9 @@ impl<E> Ord for Slot<E> {
     }
 }
 
-/// A calendar queue over event payloads `E`; one of the two backends of
-/// [`crate::engine::EventQueue`] (see [`crate::engine::QueueBackend`]).
+/// A calendar queue over event payloads `E`: the default store of
+/// [`crate::engine::EventQueue`] (the reference store is
+/// [`crate::engine::HeapQueue`]).
 ///
 /// Below [`SMALL_MAX`] pending events the structure runs in **small
 /// mode**: one sorted vec (descending, minimum at the tail), which beats

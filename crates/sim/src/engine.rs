@@ -5,23 +5,23 @@
 //! monotonically increasing sequence number as tie-break, so same-time events
 //! execute in insertion order and every simulation is reproducible.
 //!
-//! The engine is generic over the event payload `E` and the world state `W`.
-//! Dispatch happens through a closure (or the [`Dispatch`] trait) so that the
-//! crate that owns the world — `spin-core` — can match on its own event enum
-//! without this crate knowing anything about NICs or hosts.
+//! The engine is generic over the event payload `E`. Dispatch happens
+//! through a closure ([`Engine::run_with`], [`Engine::run_until`]) so that
+//! the crate that owns the world — `spin-core` — can match on its own event
+//! enum without this crate knowing anything about NICs or hosts.
 //!
-//! Pending events are stored behind the [`PendingQueue`] abstraction with
-//! two interchangeable backends: the default [`CalendarQueue`] (O(1)
-//! amortized post/pop, see `calendar.rs`) and the reference [`HeapQueue`]
-//! (`BinaryHeap`, O(log n)). Both yield the exact same `(time, seq)`
-//! dispatch order — `tests/queue_equivalence.rs` proves it differentially —
-//! so the choice is purely a performance knob (`SPIN_EVENT_QUEUE=heap`
-//! flips any run back to the reference backend).
+//! Pending events live in a [`PendingQueue`] store, a type parameter of
+//! [`EventQueue`] and [`Engine`] that defaults to the [`CalendarQueue`]
+//! (O(1) amortized post/pop, see `calendar.rs`). [`HeapQueue`]
+//! (`BinaryHeap`, O(log n)) is the reference store: it yields the exact
+//! same `(time, seq)` dispatch order, and `tests/queue_equivalence.rs`
+//! proves it differentially by driving the same engine over both.
 
 use crate::calendar::CalendarQueue;
 use crate::time::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 
 /// An event scheduled for a particular simulated time.
 #[derive(Debug, Clone)]
@@ -61,8 +61,7 @@ impl<E> Ord for Scheduled<E> {
 /// Two implementations exist: [`CalendarQueue`] (the default — O(1)
 /// amortized for the simulator's mostly-bounded time horizon) and
 /// [`HeapQueue`] (the original `BinaryHeap`, kept as the reference
-/// implementation that `tests/queue_equivalence.rs` differentially tests
-/// the calendar against).
+/// implementation the tests differentially check the calendar against).
 pub trait PendingQueue<E> {
     /// Store one event. `seq` is unique and ascending across all pushes.
     fn push(&mut self, time: Time, seq: u64, event: E);
@@ -81,7 +80,7 @@ pub trait PendingQueue<E> {
     fn retain(&mut self, keep: &mut dyn FnMut(Time, u64, &E) -> bool);
 }
 
-/// The reference backend: the standard-library binary heap (O(log n)
+/// The reference store: the standard-library binary heap (O(log n)
 /// push/pop), exactly as the engine used before the calendar queue landed.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
@@ -125,133 +124,39 @@ impl<E> PendingQueue<E> for HeapQueue<E> {
     }
 }
 
-/// Which [`PendingQueue`] implementation an [`EventQueue`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Calendar queue (O(1) amortized post/pop) — the default.
-    #[default]
-    Calendar,
-    /// The reference `BinaryHeap` (O(log n)); dispatch order is proven
-    /// identical, so flipping back is purely a performance/debugging knob.
-    Heap,
-}
-
-impl QueueBackend {
-    /// The backend selected by the `SPIN_EVENT_QUEUE` environment variable
-    /// (`heap` or `calendar`, case-insensitive); the calendar queue when
-    /// unset. Lets whole experiment binaries be A/B'd against the
-    /// reference backend without a rebuild.
-    ///
-    /// # Panics
-    /// Panics on any other value — a typo like `SPIN_EVENT_QUEUE=haep`
-    /// silently benchmarking the wrong backend is exactly the failure this
-    /// knob exists to prevent.
-    pub fn from_env() -> Self {
-        match std::env::var("SPIN_EVENT_QUEUE") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") => QueueBackend::Heap,
-            Ok(v) if v.eq_ignore_ascii_case("calendar") => QueueBackend::Calendar,
-            Ok(v) => panic!("SPIN_EVENT_QUEUE must be `heap` or `calendar`, got {v:?}"),
-            Err(_) => QueueBackend::Calendar,
-        }
-    }
-}
-
-/// Backend dispatch. An enum (not `dyn`) so the hot post/pop calls stay
-/// static and inlinable.
-#[derive(Debug)]
-enum Pending<E> {
-    Calendar(CalendarQueue<E>),
-    Heap(HeapQueue<E>),
-}
-
-impl<E> Pending<E> {
-    fn of(backend: QueueBackend) -> Self {
-        match backend {
-            QueueBackend::Calendar => Pending::Calendar(CalendarQueue::new()),
-            QueueBackend::Heap => Pending::Heap(HeapQueue::new()),
-        }
-    }
-
-    fn push(&mut self, time: Time, seq: u64, event: E) {
-        match self {
-            Pending::Calendar(q) => q.push(time, seq, event),
-            Pending::Heap(q) => q.push(time, seq, event),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, u64, E)> {
-        match self {
-            Pending::Calendar(q) => q.pop(),
-            Pending::Heap(q) => q.pop(),
-        }
-    }
-
-    fn peek_time(&self) -> Option<Time> {
-        match self {
-            Pending::Calendar(q) => q.peek_time(),
-            Pending::Heap(q) => q.peek_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Pending::Calendar(q) => PendingQueue::len(q),
-            Pending::Heap(q) => PendingQueue::len(q),
-        }
-    }
-
-    fn retain(&mut self, keep: &mut dyn FnMut(Time, u64, &E) -> bool) {
-        match self {
-            Pending::Calendar(q) => PendingQueue::retain(q, keep),
-            Pending::Heap(q) => PendingQueue::retain(q, keep),
-        }
-    }
-}
-
-/// A time-ordered queue of pending events.
+/// A time-ordered queue of pending events, stored in `Q`.
 ///
 /// This is the part of the engine that event handlers get mutable access to
 /// while an event is being dispatched, so handlers can post follow-up events.
 #[derive(Debug)]
-pub struct EventQueue<E> {
-    pending: Pending<E>,
+pub struct EventQueue<E, Q = CalendarQueue<E>> {
+    pending: Q,
     now: Time,
     seq: u64,
     executed: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
+    _event: PhantomData<fn(E)>,
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero, on the backend
-    /// [`QueueBackend::from_env`] selects (the calendar queue unless
-    /// `SPIN_EVENT_QUEUE=heap`).
+    /// An empty queue at time zero on the calendar store.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::from_env())
+        Self::default()
     }
+}
 
-    /// An empty queue at time zero on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
+impl<E, Q: PendingQueue<E> + Default> Default for EventQueue<E, Q> {
+    fn default() -> Self {
         EventQueue {
-            pending: Pending::of(backend),
+            pending: Q::default(),
             now: Time::ZERO,
             seq: 0,
             executed: 0,
+            _event: PhantomData,
         }
     }
+}
 
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.pending {
-            Pending::Calendar(_) => QueueBackend::Calendar,
-            Pending::Heap(_) => QueueBackend::Heap,
-        }
-    }
-
+impl<E, Q: PendingQueue<E>> EventQueue<E, Q> {
     /// Current simulated time (the timestamp of the event being dispatched,
     /// or of the last dispatched event between dispatches).
     #[inline]
@@ -335,7 +240,7 @@ impl<E> EventQueue<E> {
     /// both would mean posts from one dispatch leaked into another.
     pub fn restart_at(&mut self, t: Time) {
         assert!(
-            self.pending.len() == 0,
+            self.pending.is_empty(),
             "restart_at on a non-empty queue ({} pending)",
             self.pending.len()
         );
@@ -378,51 +283,42 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Dispatch trait for types that react to events; an alternative to passing a
-/// closure to [`Engine::run_with`].
-pub trait Dispatch<E> {
-    /// Handle one event at time `now`, possibly posting follow-ups.
-    fn dispatch(&mut self, queue: &mut EventQueue<E>, now: Time, event: E);
-}
-
 /// The simulation driver: owns the queue and runs it to quiescence.
-#[derive(Debug, Default)]
-pub struct Engine<E> {
-    queue: EventQueue<E>,
+#[derive(Debug)]
+pub struct Engine<E, Q = CalendarQueue<E>> {
+    queue: EventQueue<E, Q>,
     /// Safety valve: abort after this many events (0 = unlimited). Protects
     /// tests against accidental event storms (e.g. a retransmit loop).
     pub max_events: u64,
 }
 
 impl<E> Engine<E> {
-    /// A fresh engine with no event limit, on the default backend (see
-    /// [`EventQueue::new`]).
+    /// A fresh engine with no event limit, on the calendar store.
     pub fn new() -> Self {
-        Engine {
-            queue: EventQueue::new(),
-            max_events: 0,
-        }
+        Self::default()
     }
 
     /// A fresh engine that panics after `max_events` dispatches.
     pub fn with_limit(max_events: u64) -> Self {
         Engine {
-            queue: EventQueue::new(),
             max_events,
+            ..Self::default()
         }
     }
+}
 
-    /// A fresh engine on an explicit [`QueueBackend`] (no event limit; set
-    /// [`Engine::max_events`] afterwards if one is wanted).
-    pub fn with_backend(backend: QueueBackend) -> Self {
+impl<E, Q: PendingQueue<E> + Default> Default for Engine<E, Q> {
+    fn default() -> Self {
         Engine {
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::default(),
             max_events: 0,
         }
     }
+}
 
+impl<E, Q: PendingQueue<E>> Engine<E, Q> {
     /// Access the queue (e.g. to seed initial events before running).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<E> {
+    pub fn queue_mut(&mut self) -> &mut EventQueue<E, Q> {
         &mut self.queue
     }
 
@@ -436,14 +332,9 @@ impl<E> Engine<E> {
         self.queue.executed()
     }
 
-    /// Run until the queue is empty, dispatching through `world`.
-    /// Returns the time of the last executed event.
-    pub fn run<W: Dispatch<E>>(&mut self, world: &mut W) -> Time {
-        self.run_with(|q, now, ev| world.dispatch(q, now, ev))
-    }
-
     /// Run until the queue is empty, dispatching through a closure.
-    pub fn run_with(&mut self, mut f: impl FnMut(&mut EventQueue<E>, Time, E)) -> Time {
+    /// Returns the time of the last executed event.
+    pub fn run_with(&mut self, mut f: impl FnMut(&mut EventQueue<E, Q>, Time, E)) -> Time {
         while let Some((now, ev)) = self.queue.pop_next() {
             f(&mut self.queue, now, ev);
             if self.max_events != 0 && self.queue.executed() > self.max_events {
@@ -471,7 +362,7 @@ impl<E> Engine<E> {
     pub fn run_until(
         &mut self,
         deadline: Time,
-        mut f: impl FnMut(&mut EventQueue<E>, Time, E),
+        mut f: impl FnMut(&mut EventQueue<E, Q>, Time, E),
     ) -> Time {
         while let Some((now, ev)) = self.queue.pop_next_before(deadline) {
             f(&mut self.queue, now, ev);
@@ -596,67 +487,60 @@ mod tests {
         });
     }
 
-    // ------------------------------------------------- backend edge cases
+    // --------------------------------------------------- store edge cases
     //
-    // Everything above runs on the default backend; these pin the engine
-    // contract on *both* backends explicitly, at the seams where a
-    // calendar queue could plausibly diverge from the reference heap:
-    // bucket boundaries, far-future overflow, rotations under run_until,
-    // and the two engine panics.
+    // Everything above runs on the default store; these pin the engine
+    // contract on *both* stores explicitly, at the seams where a calendar
+    // queue could plausibly diverge from the reference heap: bucket
+    // boundaries, far-future overflow, rotations under run_until, and the
+    // two engine panics. Each check is generic over the store and runs
+    // once per store.
 
-    const BOTH: [QueueBackend; 2] = [QueueBackend::Calendar, QueueBackend::Heap];
+    fn store<Q>() -> &'static str {
+        std::any::type_name::<Q>()
+    }
 
     #[test]
-    fn backends_are_reported_and_default_is_calendar() {
-        assert_eq!(
-            EventQueue::<u32>::with_backend(QueueBackend::Heap).backend(),
-            QueueBackend::Heap
-        );
-        assert_eq!(
-            EventQueue::<u32>::with_backend(QueueBackend::Calendar).backend(),
-            QueueBackend::Calendar
-        );
-        // Unless SPIN_EVENT_QUEUE overrides it (not set under cargo test),
-        // the default is the calendar queue.
-        if std::env::var_os("SPIN_EVENT_QUEUE").is_none() {
-            assert_eq!(Engine::<u32>::new().queue.backend(), QueueBackend::Calendar);
-        }
+    fn default_store_is_the_calendar_queue() {
+        // `new` and `with_limit` exist only on the default store, so naming
+        // it explicitly must type-check.
+        let _: EventQueue<u32, CalendarQueue<u32>> = EventQueue::new();
+        let _: Engine<u32, CalendarQueue<u32>> = Engine::new();
+        let _: Engine<u32, CalendarQueue<u32>> = Engine::with_limit(1);
     }
 
     #[test]
     fn bucket_boundary_ties_dispatch_fifo_on_both_backends() {
         // Events exactly on multiples of the calendar's initial bucket
         // width (1024 ps), plus ±1 ps neighbours and same-time bursts:
-        // identical dispatch on both backends.
-        let runs: Vec<Vec<(u64, u32)>> = BOTH
-            .iter()
-            .map(|&b| {
-                let mut engine = Engine::with_backend(b);
-                let mut ev = 0u32;
-                for k in (0..20u64).rev() {
-                    for dt in [k * 1024, k * 1024 + 1, (k * 1024).saturating_sub(1)] {
-                        for _ in 0..3 {
-                            engine.queue_mut().post_at(Time::from_ps(dt), ev);
-                            ev += 1;
-                        }
+        // identical dispatch on both stores.
+        fn run<Q: PendingQueue<u32> + Default>() -> Vec<(u64, u32)> {
+            let mut engine: Engine<u32, Q> = Engine::default();
+            let mut ev = 0u32;
+            for k in (0..20u64).rev() {
+                for dt in [k * 1024, k * 1024 + 1, (k * 1024).saturating_sub(1)] {
+                    for _ in 0..3 {
+                        engine.queue_mut().post_at(Time::from_ps(dt), ev);
+                        ev += 1;
                     }
                 }
-                let mut seen = Vec::new();
-                engine.run_with(|_, now, e| seen.push((now.ps(), e)));
-                seen
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        let mut sorted = runs[0].clone();
+            }
+            let mut seen = Vec::new();
+            engine.run_with(|_, now, e| seen.push((now.ps(), e)));
+            seen
+        }
+        let cal = run::<CalendarQueue<u32>>();
+        assert_eq!(cal, run::<HeapQueue<u32>>());
+        let mut sorted = cal.clone();
         sorted.sort_by_key(|&(t, _)| t);
-        assert_eq!(runs[0], sorted, "time order");
+        assert_eq!(cal, sorted, "time order");
     }
 
     #[test]
     fn far_future_jump_preserves_clock_and_order() {
-        for b in BOTH {
-            let mut engine = Engine::with_backend(b);
-            engine.queue_mut().post_at(Time::from_ns(1), 1u32);
+        fn check<Q: PendingQueue<u32> + Default>() {
+            let mut engine: Engine<u32, Q> = Engine::default();
+            engine.queue_mut().post_at(Time::from_ns(1), 1);
             // ~1 s of simulated dead air: far beyond any calendar horizon.
             engine.queue_mut().post_at(Time::from_us(1_000_000), 2);
             let mut seen = Vec::new();
@@ -674,10 +558,13 @@ mod tests {
                     (Time::from_us(1_000_000), 2),
                     (Time::from_us(1_000_000) + Time::from_ns(3), 3),
                 ],
-                "{b:?}"
+                "{}",
+                store::<Q>()
             );
             assert_eq!(end, Time::from_us(1_000_000) + Time::from_ns(3));
         }
+        check::<CalendarQueue<u32>>();
+        check::<HeapQueue<u32>>();
     }
 
     #[test]
@@ -685,8 +572,8 @@ mod tests {
         // Deadlines that land mid-window, on window boundaries, and inside
         // long empty stretches; posting between calls must stay legal at
         // exactly the deadline.
-        for b in BOTH {
-            let mut engine = Engine::with_backend(b);
+        fn check<Q: PendingQueue<u32> + Default>() {
+            let mut engine: Engine<u32, Q> = Engine::default();
             for i in 0..50u64 {
                 engine
                     .queue_mut()
@@ -695,7 +582,7 @@ mod tests {
             let mut seen = Vec::new();
             for deadline_ps in [0u64, 1024, 1025, 9_000, 9_001, 100_000, 200_000] {
                 let end = engine.run_until(Time::from_ps(deadline_ps), |_, _, ev| seen.push(ev));
-                assert_eq!(end, Time::from_ps(deadline_ps), "{b:?}");
+                assert_eq!(end, Time::from_ps(deadline_ps), "{}", store::<Q>());
                 assert_eq!(engine.now(), Time::from_ps(deadline_ps));
                 // Scheduling exactly at the deadline is always legal.
                 engine
@@ -704,41 +591,62 @@ mod tests {
                 engine.run_until(Time::from_ps(deadline_ps), |_, _, ev| seen.push(ev));
             }
             engine.run_with(|_, _, ev| seen.push(ev));
-            assert_eq!(seen.len(), 50 + 7, "{b:?}: every event dispatched once");
+            assert_eq!(
+                seen.len(),
+                50 + 7,
+                "{}: every event dispatched once",
+                store::<Q>()
+            );
         }
+        check::<CalendarQueue<u32>>();
+        check::<HeapQueue<u32>>();
     }
 
     #[test]
     fn past_scheduling_panics_on_both_backends() {
-        for b in BOTH {
+        fn check<Q: PendingQueue<u32> + Default>() {
             let r = std::panic::catch_unwind(|| {
-                let mut engine = Engine::with_backend(b);
-                engine.queue_mut().post_at(Time::from_ns(10), 0u32);
+                let mut engine: Engine<u32, Q> = Engine::default();
+                engine.queue_mut().post_at(Time::from_ns(10), 0);
                 engine.run_with(|q, _, _| q.post_at(Time::from_ns(1), 1));
             });
             let msg = *r.expect_err("must panic").downcast::<String>().unwrap();
-            assert!(msg.contains("scheduled in the past"), "{b:?}: {msg}");
+            assert!(
+                msg.contains("scheduled in the past"),
+                "{}: {msg}",
+                store::<Q>()
+            );
         }
+        check::<CalendarQueue<u32>>();
+        check::<HeapQueue<u32>>();
     }
 
     #[test]
     fn event_limit_panics_on_both_backends() {
-        for b in BOTH {
+        fn check<Q: PendingQueue<u32> + Default>() {
             let r = std::panic::catch_unwind(|| {
-                let mut engine = Engine::with_backend(b);
-                engine.max_events = 100;
-                engine.queue_mut().post_at(Time::ZERO, 0u32);
+                let mut engine: Engine<u32, Q> = Engine {
+                    max_events: 100,
+                    ..Engine::default()
+                };
+                engine.queue_mut().post_at(Time::ZERO, 0);
                 engine.run_with(|q, _, ev| q.post_in(Time::from_ns(1), ev));
             });
             let msg = *r.expect_err("must panic").downcast::<String>().unwrap();
-            assert!(msg.contains("event limit exceeded"), "{b:?}: {msg}");
+            assert!(
+                msg.contains("event limit exceeded"),
+                "{}: {msg}",
+                store::<Q>()
+            );
         }
+        check::<CalendarQueue<u32>>();
+        check::<HeapQueue<u32>>();
     }
 
     #[test]
     fn pop_next_single_steps_the_queue() {
-        for b in BOTH {
-            let mut q = EventQueue::with_backend(b);
+        fn check<Q: PendingQueue<char> + Default>() {
+            let mut q: EventQueue<char, Q> = EventQueue::default();
             q.post_at(Time::from_ns(2), 'b');
             q.post_at(Time::from_ns(1), 'a');
             assert_eq!(q.pop_next(), Some((Time::from_ns(1), 'a')));
@@ -748,12 +656,14 @@ mod tests {
             assert_eq!(q.pop_next(), Some((Time::from_ns(2), 'b')));
             assert_eq!(q.pop_next(), None);
         }
+        check::<CalendarQueue<char>>();
+        check::<HeapQueue<char>>();
     }
 
     #[test]
     fn drain_posts_returns_post_call_order() {
-        for b in BOTH {
-            let mut q = EventQueue::with_backend(b);
+        fn check<Q: PendingQueue<char> + Default>() {
+            let mut q: EventQueue<char, Q> = EventQueue::default();
             q.restart_at(Time::from_ns(10));
             // Post out of time order, including same-time ties.
             q.post_at(Time::from_ns(30), 'c');
@@ -769,7 +679,8 @@ mod tests {
                     (Time::from_ns(20), 'b'),
                     (Time::from_ns(10), 'n'),
                 ],
-                "{b:?}"
+                "{}",
+                store::<Q>()
             );
             assert_eq!(q.pending(), 0);
             assert_eq!(q.executed(), 0, "drain is not dispatch");
@@ -779,6 +690,8 @@ mod tests {
             q.post_now('x');
             assert_eq!(q.drain_posts(), vec![(Time::from_ns(50), 'x')]);
         }
+        check::<CalendarQueue<char>>();
+        check::<HeapQueue<char>>();
     }
 
     #[test]
@@ -799,13 +712,13 @@ mod tests {
 
     #[test]
     fn cancel_where_tombstones_matching_events() {
-        for b in BOTH {
-            let mut q = EventQueue::with_backend(b);
+        fn check<Q: PendingQueue<u32> + Default>() {
+            let mut q: EventQueue<u32, Q> = EventQueue::default();
             for i in 0..10u32 {
                 q.post_at(Time::from_ns(u64::from(i % 4)), i);
             }
             let cancelled = q.cancel_where(|e| e % 2 == 1);
-            assert_eq!(cancelled, 5, "{b:?}");
+            assert_eq!(cancelled, 5, "{}", store::<Q>());
             assert_eq!(q.pending(), 5);
             // Survivors keep (time, seq) order; cancelling nothing is a
             // no-op returning 0.
@@ -814,25 +727,9 @@ mod tests {
             while let Some((_, e)) = q.pop_next() {
                 seen.push(e);
             }
-            assert_eq!(seen, vec![0, 4, 8, 2, 6], "{b:?}");
+            assert_eq!(seen, vec![0, 4, 8, 2, 6], "{}", store::<Q>());
         }
-    }
-
-    #[test]
-    fn dispatch_trait_works() {
-        struct Counter(u64);
-        impl Dispatch<u32> for Counter {
-            fn dispatch(&mut self, q: &mut EventQueue<u32>, _now: Time, ev: u32) {
-                self.0 += 1;
-                if ev > 0 {
-                    q.post_in(Time::from_ns(1), ev - 1);
-                }
-            }
-        }
-        let mut engine = Engine::new();
-        engine.queue_mut().post_at(Time::ZERO, 4u32);
-        let mut w = Counter(0);
-        engine.run(&mut w);
-        assert_eq!(w.0, 5);
+        check::<CalendarQueue<u32>>();
+        check::<HeapQueue<u32>>();
     }
 }

@@ -27,6 +27,28 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::CalendarQueue;
-pub use engine::{Engine, EventQueue, HeapQueue, PendingQueue, QueueBackend};
+pub use engine::{Engine, EventQueue, HeapQueue, PendingQueue};
 pub use mailbox::Mailbox;
 pub use time::{Time, GIGA, KIB, MIB, NS, PS, US};
+
+/// 64-bit FNV-1a over `bytes`: the one hash every report digest and
+/// determinism golden in the workspace folds its fingerprint text with.
+/// Stable across platforms and releases, so pinned digests stay valid.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

@@ -12,6 +12,7 @@ use spin_core::world::{Report, SimBuilder};
 use spin_hpu::ctx::{CompletionRet, HeaderRet, PayloadRet};
 use spin_hpu::pool::HpuConfig;
 use spin_portals::types::UserHeader;
+use spin_sim::fnv1a;
 use spin_sim::time::{BytesPerTime, Time};
 
 #[test]
@@ -223,7 +224,8 @@ impl HostProgram for FlowReceiver {
     }
 }
 
-/// Render every observable of a report into one stable string.
+/// Render every observable of a report into one stable string. The goldens
+/// pin its FNV-1a hash and print the full string on a mismatch for diffing.
 fn fingerprint(r: &Report) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -293,18 +295,6 @@ fn golden_scenario(nic: NicKind, flow: bool) -> Report {
         .report
 }
 
-/// FNV-1a over the fingerprint text: one stable u64 per scenario keeps the
-/// goldens readable while pinning every field. On mismatch the test prints
-/// the full fingerprint for diffing.
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn golden_report_equivalence_matrix() {
     // Recaptured for the flow-control recovery PR: the header-admission
@@ -327,7 +317,7 @@ fn golden_report_equivalence_matrix() {
     ];
     for (nic, flow, want) in goldens {
         let fp = fingerprint(&golden_scenario(nic, flow));
-        let got = fnv1a(&fp);
+        let got = fnv1a(fp.as_bytes());
         if std::env::var_os("GOLDEN_CAPTURE").is_some() {
             eprintln!("({nic:?}, {flow}, {got:#x}u64),");
             continue;
@@ -419,7 +409,7 @@ fn golden_fat_tree_cross_pod_matrix() {
     assert_eq!(report.end_time, b.report.end_time);
     assert_eq!(report.marks, b.report.marks);
     let fp = fingerprint(report);
-    let got = fnv1a(&fp);
+    let got = fnv1a(fp.as_bytes());
     if std::env::var_os("GOLDEN_CAPTURE").is_some() {
         eprintln!("fat_tree golden: {got:#x}u64");
         return;
@@ -494,7 +484,7 @@ fn golden_zero_occupancy_incast() {
         report.net_packets
     );
     let fp = fingerprint(&report);
-    let got = fnv1a(&fp);
+    let got = fnv1a(fp.as_bytes());
     if std::env::var_os("GOLDEN_CAPTURE").is_some() {
         eprintln!("zero-occupancy incast golden: {got:#x}u64");
         return;

@@ -1,5 +1,6 @@
-//! Differential proof that the calendar-queue engine backend is
-//! observationally identical to the reference `BinaryHeap` backend.
+//! Differential proof that the engine over the calendar-queue store is
+//! observationally identical to the same engine over the reference
+//! `BinaryHeap` store (`HeapQueue`).
 //!
 //! The entire determinism story of this reproduction — the four pinned
 //! golden fingerprints, the recovery proptests, same-time FIFO ordering —
@@ -7,7 +8,7 @@
 //! order. "The test suite still passes" is circumstantial evidence; this
 //! harness is the direct kind: it feeds randomized interleavings of every
 //! queue operation (`post_at` / `post_in` / `post_now` / single-step pops /
-//! `run_until`) to one engine per backend and asserts the two produce the
+//! `run_until`) to one engine per store and asserts the two produce the
 //! same dispatch sequence, the same clock after every operation, and the
 //! same pending counts — including the adversarial patterns a calendar
 //! queue could plausibly get wrong:
@@ -26,12 +27,16 @@
 //!   serves; the cache must never desynchronize from the real minimum).
 //!
 //! Case count is `PROPTEST_CASES`-controlled (CI bumps it well above the
-//! local default).
+//! local default). The random programs hold at most ~15k pending events,
+//! so a directed churn test below holds the queue at 100, 10,000 and
+//! 100,000 pending events, the depths where the ring resizes and the
+//! width recalibrates for real.
 
 use proptest::collection;
 use proptest::prelude::*;
-use spin_sim::engine::{Engine, QueueBackend};
+use spin_sim::engine::{Engine, EventQueue, HeapQueue, PendingQueue};
 use spin_sim::time::Time;
+use spin_sim::CalendarQueue;
 
 /// One step of the interpreted op program: an opcode plus two raw 64-bit
 /// operands the interpreter shapes into times and counts.
@@ -51,10 +56,10 @@ struct TraceItem {
 
 /// Dispatch closure shared by both engines: record, then deterministically
 /// post follow-ups so the two queues also see in-dispatch posting.
-fn dispatch(
+fn dispatch<Q: PendingQueue<u32>>(
     trace: &mut Vec<TraceItem>,
     op: usize,
-) -> impl FnMut(&mut spin_sim::EventQueue<u32>, Time, u32) + '_ {
+) -> impl FnMut(&mut EventQueue<u32, Q>, Time, u32) + '_ {
     move |q, now, ev| {
         trace.push(TraceItem { op, at: now, ev });
         // Follow-ups only for first-generation events, so chains terminate.
@@ -67,11 +72,13 @@ fn dispatch(
     }
 }
 
-/// Run the op program on one backend, returning the full observable
-/// behavior: the dispatch trace plus (clock, executed, pending) after
-/// every op.
-fn interpret(backend: QueueBackend, ops: &[Op]) -> (Vec<TraceItem>, Vec<(Time, u64, usize)>) {
-    let mut engine: Engine<u32> = Engine::with_backend(backend);
+/// Run the op program on an engine over store `Q`, returning the full
+/// observable behavior: the dispatch trace plus (clock, executed, pending)
+/// after every op.
+fn interpret<Q: PendingQueue<u32> + Default>(
+    ops: &[Op],
+) -> (Vec<TraceItem>, Vec<(Time, u64, usize)>) {
+    let mut engine: Engine<u32, Q> = Engine::default();
     let mut trace = Vec::new();
     let mut states = Vec::new();
     let mut next_ev = 0u32;
@@ -131,7 +138,7 @@ fn interpret(backend: QueueBackend, ops: &[Op]) -> (Vec<TraceItem>, Vec<(Time, u
             // Peek storm: a closed-loop driver pattern — dozens of
             // `run_until` calls stepping the deadline in tiny increments.
             // Every call peeks the earliest pending time at least once
-            // (the calendar backend's cached-minimum fast path), most
+            // (the calendar store's cached-minimum fast path), most
             // without popping anything.
             7 => {
                 let step = a % 2_000 + 1;
@@ -171,8 +178,8 @@ proptest! {
     fn calendar_and_heap_backends_dispatch_identically(
         ops in collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..60),
     ) {
-        let (cal_trace, cal_states) = interpret(QueueBackend::Calendar, &ops);
-        let (heap_trace, heap_states) = interpret(QueueBackend::Heap, &ops);
+        let (cal_trace, cal_states) = interpret::<CalendarQueue<u32>>(&ops);
+        let (heap_trace, heap_states) = interpret::<HeapQueue<u32>>(&ops);
         prop_assert_eq!(
             cal_states, heap_states,
             "clock/executed/pending diverged"
@@ -189,8 +196,8 @@ proptest! {
 /// resizes, popped through `run_until` at every boundary.
 #[test]
 fn directed_boundary_storm_matches_reference() {
-    let build = |backend| {
-        let mut engine: Engine<u32> = Engine::with_backend(backend);
+    fn build<Q: PendingQueue<u32> + Default>() -> Vec<(Time, u32)> {
+        let mut engine: Engine<u32, Q> = Engine::default();
         let mut id = 0u32;
         for wave in 0..6u64 {
             for k in 0..200u64 {
@@ -210,10 +217,62 @@ fn directed_boundary_storm_matches_reference() {
         }
         engine.run_with(|_, now, ev| seen.push((now, ev)));
         seen
-    };
+    }
     assert_eq!(
-        build(QueueBackend::Calendar),
-        build(QueueBackend::Heap),
+        build::<CalendarQueue<u32>>(),
+        build::<HeapQueue<u32>>(),
         "boundary storm diverged"
     );
+}
+
+/// Steady-state churn at a held depth: preload `depth` events, then `ops`
+/// pop-one/post-one cycles (each post lands within ~1 µs of the popped
+/// time, the simulator's typical lookahead), then drain. Returns an
+/// **order-sensitive** digest of the dispatch sequence: each `(time,
+/// event)` pair is folded in with a rotate, so two stores that dispatch
+/// the same multiset in a different order produce different digests.
+fn queue_churn<Q: PendingQueue<u64> + Default>(depth: usize, ops: usize) -> u64 {
+    let mut q: EventQueue<u64, Q> = EventQueue::default();
+    let mut x = 0x243F_6A88_85A3_08D3u64 ^ (depth as u64).rotate_left(17);
+    let step = |x: &mut u64| {
+        *x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *x
+    };
+    for i in 0..depth {
+        let dt = step(&mut x) % 1_000_000;
+        q.post_at(Time::from_ps(dt), i as u64);
+    }
+    let mut acc = 0u64;
+    let fold = |acc: u64, t: Time, ev: u64| {
+        acc.rotate_left(1)
+            .wrapping_add(t.ps().rotate_left(7) ^ ev)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    };
+    for i in 0..ops {
+        let (t, ev) = q.pop_next().expect("queue held at depth");
+        acc = fold(acc, t, ev);
+        let dt = step(&mut x) % 1_000_000 + 1;
+        q.post_at(t + Time::from_ps(dt), (depth + i) as u64);
+    }
+    while let Some((t, ev)) = q.pop_next() {
+        acc = fold(acc, t, ev);
+    }
+    acc
+}
+
+/// Deep queues, directed: the calendar must dispatch in the heap's exact
+/// order while held at 100, 10,000 and 100,000 pending events for
+/// `4·depth + 10,000` pop/post cycles each.
+#[test]
+fn deep_churn_matches_reference() {
+    for depth in [100, 10_000, 100_000] {
+        let ops = 4 * depth + 10_000;
+        assert_eq!(
+            queue_churn::<CalendarQueue<u64>>(depth, ops),
+            queue_churn::<HeapQueue<u64>>(depth, ops),
+            "churn digest diverged at depth {depth}"
+        );
+    }
 }

@@ -5,8 +5,8 @@
 //! 1. `scenarios/fat_tree_golden.json` reproduces the pinned fat-tree
 //!    determinism golden byte-for-byte (same digest as the hand-coded
 //!    gather builder, on the serial and the sharded engine);
-//! 2. `scenarios/incast48.json` reproduces the full-scale sharding
-//!    benchmark world, checked with that module's own digest;
+//! 2. `scenarios/incast48.json` reproduces the 48-node incast world of
+//!    `spin_experiments::sharding`, checked with that module's own digest;
 //! 3. a property test: impaired scenarios (jitter, loss, background)
 //!    stay bit-identical across engine shard counts — the impairment
 //!    RNG streams replay independently of execution order.
