@@ -177,15 +177,29 @@ pub fn random_pairs(n: usize, seed: u64) -> Vec<(u64, u64)> {
     pairs
 }
 
+/// Host memory of one server: `slots` table slots plus the deferred
+/// request ring, rounded up to a power of two. `None` when that size does
+/// not fit a `usize`.
+pub fn mem_size(slots: u64) -> Option<usize> {
+    usize::try_from(slots)
+        .ok()?
+        .checked_mul(SLOT_LEN)?
+        .checked_add(8192)?
+        .checked_next_power_of_two()
+}
+
 /// Build the key-value world (client rank 0, `servers` server ranks)
-/// without running it. Sizes host memory for the table.
+/// without running it. Sizes host memory for the table ([`mem_size`]).
+///
+/// # Panics
+/// Panics if the table's host memory does not fit a `usize`.
 pub fn builder(
     mut config: MachineConfig,
     servers: u32,
     slots: u64,
     pairs: Vec<(u64, u64)>,
 ) -> SimBuilder {
-    config.host.mem_size = (slots as usize * SLOT_LEN + 8192).next_power_of_two();
+    config.host.mem_size = mem_size(slots).expect("the key-value table overflows a usize");
     let mut b = SimBuilder::new(config).add_node(Box::new(Client {
         pairs,
         nodes: servers,

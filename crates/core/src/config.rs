@@ -100,14 +100,6 @@ pub struct RecoveryConfig {
     /// (the timer is only a fallback), replacing blind exponential probing
     /// — fewer wasted probes at the same delivered-message count.
     pub notify_reenable: bool,
-    /// Selective packet-level retransmission: when a fault kills only the
-    /// *tail* packets of a multi-packet message mid-transmission (the
-    /// header already left on a live link), resume transmission from the
-    /// first dead packet instead of bouncing the whole message through
-    /// NACK → backoff → full replay. Counted in
-    /// `NicStats::retransmitted_bytes`; turn off to A/B the whole-message
-    /// baseline.
-    pub selective_retransmit: bool,
 }
 
 impl Default for RecoveryConfig {
@@ -119,7 +111,6 @@ impl Default for RecoveryConfig {
             reenable_guard: Time::from_us(2),
             max_probes: 64,
             notify_reenable: false,
-            selective_retransmit: true,
         }
     }
 }

@@ -107,10 +107,10 @@ pub struct OutMsg {
     /// For `Reply`/`Ack`: the request's msg_id being answered.
     pub answers: u64,
     /// Selective retransmission: first packet index to (re)transmit. 0 on
-    /// every fresh send; nonzero only on the tail-resume a faulted
-    /// multi-packet transmission schedules for itself
-    /// (`RecoveryConfig::selective_retransmit`) — packets below this index
-    /// already arrived under the same attempt and are not re-sent.
+    /// every fresh send; nonzero only on the tail resume a multi-packet
+    /// transmission schedules for itself when a fault kills its path after
+    /// the header left on a live link — packets below this index already
+    /// arrived under the same attempt and are not re-sent.
     pub resume_from: u32,
 }
 

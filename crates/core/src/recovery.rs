@@ -727,7 +727,6 @@ mod tests {
             reenable_guard: Time::from_us(5),
             max_probes: 64,
             notify_reenable: false,
-            selective_retransmit: true,
         }
     }
 

@@ -239,14 +239,6 @@ impl World {
             // runs consume an unchanged draw sequence.
             dead_from = Some(first_tx);
         }
-        if !self.config.recovery.is_some_and(|r| r.selective_retransmit) {
-            // Without selective retransmission a mid-message path death
-            // bounces the whole attempt: nothing is delivered, the NACK
-            // below drives a full replay.
-            if dead_from.is_some() {
-                dead_from = Some(first_tx);
-            }
-        }
         // First packet index that never reaches the fabric. Everything in
         // `[first_tx, cut)` transmits normally; `[cut, total)` occupies the
         // source egress link but is never delivered.

@@ -434,29 +434,7 @@ impl World {
     }
 }
 
-/// Parse an environment-variable value as a non-negative integer, or
-/// explain exactly which variable held what garbage. Pure (no env access)
-/// so the error path is unit-testable.
-pub(crate) fn parse_count(var: &str, raw: &str) -> Result<usize, String> {
-    raw.trim()
-        .parse::<usize>()
-        .map_err(|_| format!("{var} must be a non-negative integer, got {raw:?}"))
-}
-
-/// Read `var` as a count, `default` when unset.
-///
-/// # Panics
-/// Panics — naming the variable and the bad value — on anything that does
-/// not parse. A typo like `SPIN_SHARDS=abc` must not silently run a
-/// different engine than the one the user asked for.
-fn env_count(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(raw) => parse_count(var, &raw).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => default,
-    }
-}
-
-/// Which sharded engine `SPIN_SHARDS > 1` selects.
+/// Which sharded engine [`SimBuilder::run_with_shards_mode`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
     /// The coordinator-merge engine: bit-identical to the serial reference
@@ -470,29 +448,6 @@ pub enum ShardMode {
     /// reports (same delivery counts and stable statistics; same-time
     /// cross-shard tie-breaks may differ) at higher parallelism.
     Relaxed,
-}
-
-impl ShardMode {
-    /// Parse a `SPIN_SHARD_MODE` value. Pure so the error path is
-    /// unit-testable.
-    pub(crate) fn parse(var: &str, raw: &str) -> Result<ShardMode, String> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "exact" => Ok(ShardMode::Exact),
-            "relaxed" => Ok(ShardMode::Relaxed),
-            _ => Err(format!("{var} must be `exact` or `relaxed`, got {raw:?}")),
-        }
-    }
-
-    /// The mode selected by `SPIN_SHARD_MODE` (`exact` when unset).
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value, naming the variable and the value.
-    pub fn from_env() -> ShardMode {
-        match std::env::var("SPIN_SHARD_MODE") {
-            Ok(raw) => ShardMode::parse("SPIN_SHARD_MODE", &raw).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => ShardMode::Exact,
-        }
-    }
 }
 
 enum ProgramCall {
@@ -666,6 +621,128 @@ impl Report {
     }
 }
 
+// ------------------------------------------------- the report fingerprint
+//
+// The determinism contract: the exact engine reproduces the serial
+// report's derived `Debug` text, pinned goldens hash [`fingerprint`], and
+// the relaxed engine reproduces [`delivery_fingerprint`].
+
+/// Render a report into the stable text the pinned determinism goldens
+/// and `scenarios/` digests hash. Fault counters are printed only when the
+/// fault machinery fired, so every digest pinned before the fault
+/// subsystem reproduces unchanged.
+pub fn fingerprint(r: &Report) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    writeln!(out, "end={} events={}", r.end_time.ps(), r.events_executed).unwrap();
+    for (rank, label, t) in &r.marks {
+        writeln!(out, "mark r{rank} {label} @{}", t.ps()).unwrap();
+    }
+    for (rank, label, v) in &r.values {
+        writeln!(out, "value r{rank} {label} = {v}").unwrap();
+    }
+    for (i, s) in r.node_stats.iter().enumerate() {
+        writeln!(
+            out,
+            "node{i} dma={}b/{}r/{}w host={}b hpu={}a/{}rj busy={} fc={} drop={} runs={:?} errs={}",
+            s.dma_bytes,
+            s.dma_reads,
+            s.dma_writes,
+            s.host_mem_bytes,
+            s.hpu_admitted,
+            s.hpu_rejected,
+            s.hpu_busy_ns,
+            s.flow_control_events,
+            s.packets_dropped,
+            s.handler_runs,
+            s.handler_errors,
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "recov{i} nacks={}tx/{}rx backoffs={} probes={} rtx={} held={} dropped={} reen={} disabled={} rec={}m/{}ns",
+            s.nacks_sent,
+            s.recovery_nacks,
+            s.recovery_backoffs,
+            s.recovery_probes,
+            s.recovery_retransmits,
+            s.recovery_held,
+            s.recovery_abandoned,
+            s.pt_reenables,
+            s.pt_disabled_ns,
+            s.recovered_messages,
+            s.recovery_latency_ns,
+        )
+        .unwrap();
+        if s.drops_on_dead_link + s.reroutes + s.crash_recoveries > 0
+            || !s.abandoned_peers.is_empty()
+        {
+            writeln!(
+                out,
+                "fault{i} deadlink={} reroutes={} crashrec={} rtxbytes={} abandoned={:?}",
+                s.drops_on_dead_link,
+                s.reroutes,
+                s.crash_recoveries,
+                s.retransmitted_bytes,
+                s.abandoned_peers,
+            )
+            .unwrap();
+        }
+    }
+    if r.links_downed_ns > 0 {
+        writeln!(out, "faults downed_ns={}", r.links_downed_ns).unwrap();
+    }
+    writeln!(out, "net packets={} bytes={}", r.net_packets, r.net_bytes).unwrap();
+    out
+}
+
+/// FNV-1a over [`fingerprint`]: one stable u64 per run.
+pub fn digest(r: &Report) -> u64 {
+    spin_sim::fnv1a(fingerprint(r).as_bytes())
+}
+
+/// Render the *count-stable* observables of a report: the event count,
+/// fabric totals, `links_downed_ns`, the sorted `(rank, label)` mark
+/// multiset, the values, and every [`NodeStats`] field but the three f64
+/// aggregates. This is what the relaxed engine preserves exactly: it
+/// reshuffles same-instant tie-breaks, which moves timestamps but never
+/// what was delivered where. The f64 aggregates are busy, disabled and
+/// recovery times, which shift with admission timing and sum in execution
+/// order (so may differ in the last ulp).
+pub fn delivery_fingerprint(r: &Report) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    writeln!(out, "events={}", r.events_executed).unwrap();
+    writeln!(out, "net packets={} bytes={}", r.net_packets, r.net_bytes).unwrap();
+    writeln!(out, "downed={}", r.links_downed_ns).unwrap();
+    let mut marks: Vec<(u32, &str)> = r.marks.iter().map(|(n, l, _)| (*n, l.as_str())).collect();
+    marks.sort_unstable();
+    for (rank, label) in marks {
+        writeln!(out, "mark r{rank} {label}").unwrap();
+    }
+    for (rank, label, v) in &r.values {
+        writeln!(out, "value r{rank} {label} = {v}").unwrap();
+    }
+    for (i, s) in r.node_stats.iter().enumerate() {
+        // The derived `Debug` with the three f64 aggregates cleared, so
+        // every other field, present or future, counts.
+        let counts = NodeStats {
+            hpu_busy_ns: 0.0,
+            pt_disabled_ns: 0.0,
+            recovery_latency_ns: 0.0,
+            ..s.clone()
+        };
+        writeln!(out, "node{i} {counts:?}").unwrap();
+    }
+    out
+}
+
+/// FNV-1a over [`delivery_fingerprint`]: serial, exact-sharded, and
+/// relaxed-sharded runs of one world share it.
+pub fn delivery_digest(r: &Report) -> u64 {
+    spin_sim::fnv1a(delivery_fingerprint(r).as_bytes())
+}
+
 /// Builder assembling a simulation: configuration + one program per node.
 pub struct SimBuilder {
     pub(crate) config: MachineConfig,
@@ -705,34 +782,17 @@ impl SimBuilder {
         self
     }
 
-    /// Run the simulation to quiescence.
-    ///
-    /// `SPIN_SHARDS=k` (k ≥ 2) selects a sharded conservative-parallel
-    /// engine; unset, `0`, or `1` runs the serial reference engine. Which
-    /// sharded engine is `SPIN_SHARD_MODE`'s choice ([`ShardMode`]): the
-    /// default `exact` engine is bit-identical to serial by construction
-    /// (see `crate::shard`); `relaxed` runs the pairwise-horizon engine
-    /// (see `crate::relaxed`). Malformed values of either variable panic
-    /// rather than silently running the wrong engine.
+    /// Run the simulation to quiescence on the serial reference engine
+    /// (the same as [`SimBuilder::run_serial`]).
     pub fn run(self) -> SimOutput {
-        let shards = env_count("SPIN_SHARDS", 1);
-        if shards > 1 {
-            self.run_with_shards(shards)
-        } else {
-            self.run_serial()
-        }
+        self.run_serial()
     }
 
     /// Run on a sharded conservative-parallel engine with `k` shards
-    /// (clamped to the node count; `k ≤ 1` falls back to the serial
-    /// reference engine), in the mode `SPIN_SHARD_MODE` selects.
-    pub fn run_with_shards(self, k: usize) -> SimOutput {
-        let mode = ShardMode::from_env();
-        self.run_with_shards_mode(k, mode)
-    }
-
-    /// Run on a sharded conservative-parallel engine with `k` shards in an
-    /// explicit [`ShardMode`].
+    /// (clamped to the node count; `k ≤ 1` runs the serial reference
+    /// engine) in the given [`ShardMode`]: `Exact` is bit-identical to
+    /// serial (see `crate::shard`), `Relaxed` keeps the count-stable view
+    /// [`delivery_digest`] (see `crate::relaxed`).
     pub fn run_with_shards_mode(self, k: usize, mode: ShardMode) -> SimOutput {
         match mode {
             ShardMode::Exact => crate::shard::run_sharded(self, k),
@@ -777,37 +837,113 @@ impl SimBuilder {
 mod tests {
     use super::*;
 
-    // The env knobs (`SPIN_SHARDS`, `SPIN_SHARD_MODE`) go through these
-    // pure parsers, so exercising the parsers covers every variable's
-    // error path without mutating the process environment under a
-    // parallel test runner.
-
     #[test]
-    fn count_parsing_is_loud_about_garbage() {
-        assert_eq!(parse_count("SPIN_SHARDS", "4"), Ok(4));
-        assert_eq!(parse_count("SPIN_SHARDS", " 12 "), Ok(12));
-        assert_eq!(parse_count("SPIN_SHARDS", "0"), Ok(0));
-        for bad in ["abc", "", "4x", "-1", "1.5"] {
-            let err = parse_count("SPIN_SHARDS", bad).unwrap_err();
-            assert!(err.contains("SPIN_SHARDS"), "{err}");
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
+    fn delivery_digest_covers_every_count_and_no_time() {
+        // Every field named and nonzero: a new `NodeStats` field stops
+        // this test compiling until it is classified below.
+        let node = NodeStats {
+            dma_bytes: 1,
+            dma_reads: 2,
+            dma_writes: 3,
+            host_mem_bytes: 4,
+            hpu_admitted: 5,
+            hpu_rejected: 6,
+            hpu_busy_ns: 7.5,
+            flow_control_events: 8,
+            packets_dropped: 9,
+            handler_runs: (10, 11, 12),
+            handler_errors: 13,
+            forced_completion_admissions: 14,
+            nacks_sent: 15,
+            recovery_nacks: 16,
+            recovery_backoffs: 17,
+            recovery_probes: 18,
+            recovery_retransmits: 19,
+            recovery_held: 20,
+            recovery_abandoned: 21,
+            pt_reenables: 22,
+            pt_disabled_ns: 23.5,
+            recovered_messages: 24,
+            recovery_latency_ns: 25.5,
+            drops_on_dead_link: 26,
+            reroutes: 27,
+            crash_recoveries: 28,
+            retransmitted_bytes: 29,
+            abandoned_peers: vec![(30, 31)],
+        };
+        let base = Report {
+            end_time: Time::from_ns(100),
+            events_executed: 40,
+            marks: vec![
+                (0, "armed".to_string(), Time::from_ns(5)),
+                (1, "Put".to_string(), Time::from_ns(7)),
+            ],
+            values: vec![(0, "v".to_string(), 1.5)],
+            node_stats: vec![node],
+            net_packets: 41,
+            net_bytes: 42,
+            links_downed_ns: 43,
+        };
+        let want = delivery_digest(&base);
+        let moves = |what: &str, bump: &dyn Fn(&mut Report)| {
+            let mut r = base.clone();
+            bump(&mut r);
+            assert_ne!(delivery_digest(&r), want, "{what} is outside the view");
+        };
+        let still = |what: &str, bump: &dyn Fn(&mut Report)| {
+            let mut r = base.clone();
+            bump(&mut r);
+            assert_eq!(delivery_digest(&r), want, "{what} moved the view");
+        };
+        type Bump = (&'static str, fn(&mut NodeStats));
+        let counted: [Bump; 28] = [
+            ("dma_bytes", |s| s.dma_bytes += 1),
+            ("dma_reads", |s| s.dma_reads += 1),
+            ("dma_writes", |s| s.dma_writes += 1),
+            ("host_mem_bytes", |s| s.host_mem_bytes += 1),
+            ("hpu_admitted", |s| s.hpu_admitted += 1),
+            ("hpu_rejected", |s| s.hpu_rejected += 1),
+            ("fc events", |s| s.flow_control_events += 1),
+            ("packets_dropped", |s| s.packets_dropped += 1),
+            ("header runs", |s| s.handler_runs.0 += 1),
+            ("payload runs", |s| s.handler_runs.1 += 1),
+            ("completion runs", |s| s.handler_runs.2 += 1),
+            ("handler_errors", |s| s.handler_errors += 1),
+            ("forced", |s| s.forced_completion_admissions += 1),
+            ("nacks_sent", |s| s.nacks_sent += 1),
+            ("recovery_nacks", |s| s.recovery_nacks += 1),
+            ("recovery_backoffs", |s| s.recovery_backoffs += 1),
+            ("recovery_probes", |s| s.recovery_probes += 1),
+            ("retransmits", |s| s.recovery_retransmits += 1),
+            ("recovery_held", |s| s.recovery_held += 1),
+            ("recovery_abandoned", |s| s.recovery_abandoned += 1),
+            ("pt_reenables", |s| s.pt_reenables += 1),
+            ("recovered_messages", |s| s.recovered_messages += 1),
+            ("drops_on_dead_link", |s| s.drops_on_dead_link += 1),
+            ("reroutes", |s| s.reroutes += 1),
+            ("crash_recoveries", |s| s.crash_recoveries += 1),
+            ("retransmitted_bytes", |s| s.retransmitted_bytes += 1),
+            ("abandoned peer", |s| s.abandoned_peers[0].0 += 1),
+            ("abandoned count", |s| s.abandoned_peers[0].1 += 1),
+        ];
+        for (what, bump) in counted {
+            moves(what, &|r| bump(&mut r.node_stats[0]));
         }
-    }
-
-    #[test]
-    fn shard_mode_parsing_is_loud_about_garbage() {
-        assert_eq!(
-            ShardMode::parse("SPIN_SHARD_MODE", "exact"),
-            Ok(ShardMode::Exact)
-        );
-        assert_eq!(
-            ShardMode::parse("SPIN_SHARD_MODE", " Relaxed "),
-            Ok(ShardMode::Relaxed)
-        );
-        for bad in ["fast", "", "exact ly"] {
-            let err = ShardMode::parse("SPIN_SHARD_MODE", bad).unwrap_err();
-            assert!(err.contains("SPIN_SHARD_MODE"), "{err}");
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-        }
+        moves("events_executed", &|r| r.events_executed += 1);
+        moves("net_packets", &|r| r.net_packets += 1);
+        moves("net_bytes", &|r| r.net_bytes += 1);
+        moves("links_downed_ns", &|r| r.links_downed_ns += 1);
+        moves("mark rank", &|r| r.marks[0].0 += 2);
+        moves("mark label", &|r| r.marks[0].1.push('!'));
+        moves("value", &|r| r.values[0].2 += 1.0);
+        moves("value label", &|r| r.values[0].1.push('!'));
+        still("end_time", &|r| r.end_time += Time::from_ns(1));
+        still("mark time", &|r| r.marks[0].2 = Time::from_ns(99));
+        still("mark order", &|r| r.marks.swap(0, 1));
+        still("hpu_busy_ns", &|r| r.node_stats[0].hpu_busy_ns += 1.0);
+        still("pt_disabled_ns", &|r| r.node_stats[0].pt_disabled_ns += 1.0);
+        still("recovery_latency_ns", &|r| {
+            r.node_stats[0].recovery_latency_ns += 1.0
+        });
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The `spin-scenario` binary feeds this module a list of JSON files (or
 //! the default `scenarios/` corpus). Each file becomes one sweep point;
-//! replication 0 runs the scenario exactly as pinned — same seed, same
-//! engine-invariant digest — and is checked against its `expect` block,
+//! replication 0 runs the scenario exactly as pinned — same seed, serial
+//! engine — and is checked against its `expect` block,
 //! while replications ≥ 1 reseed the machine from the harness cell seed
 //! so `--reps R` reports mean ± 95% CI over genuinely independent runs.
 //! A digest line per file goes to stderr (capture them to pin a new
@@ -73,7 +73,7 @@ pub fn run_tables(
             s.machine.seed = Some(cell.seed);
         }
         let compiler = ScenarioCompiler::new(s);
-        let out = compiler.run(0).map_err(|e| format!("{file}: {e}"))?;
+        let out = compiler.run(1).map_err(|e| format!("{file}: {e}"))?;
         if pinned {
             compiler
                 .check(&out.report)

@@ -23,15 +23,19 @@
 //! **Determinism:** everything a scenario adds over a hand-coded world is
 //! deterministic and engine-invariant. Impairment draws come from per-link
 //! RNG streams derived from `(seed, src, dst)` and advanced in
-//! source-side inject order, which the sharded engine replays exactly —
-//! so a scenario's [`digest`] is bit-identical at any `--jobs` or
-//! `SPIN_SHARDS` setting, and the corpus pins those digests in the files
-//! themselves (the `expect.digest` field).
+//! source-side inject order, which the exact sharded engine replays
+//! exactly — so a scenario's [`digest`] is bit-identical at any `--jobs`
+//! value and on either engine [`ScenarioCompiler::run`] selects, and the
+//! corpus pins those digests in the files themselves (the
+//! `expect.digest` field).
 
 use serde::{Deserialize, Serialize};
 use spin_core::config::{ImpairmentConfig, ImpairmentRule, LinkImpairment, MachineConfig, NicKind};
 use spin_core::fault::{CompiledFaults, FaultEvent, FaultKind, FaultPlan};
-use spin_core::world::{Report, SimBuilder, SimOutput};
+/// The canonical report fingerprint and its FNV-1a digest (defined in
+/// `spin-core`); `expect.digest` pins the latter.
+pub use spin_core::world::{digest, fingerprint};
+use spin_core::world::{Report, ShardMode, SimBuilder, SimOutput};
 use spin_net::TopologySpec;
 use spin_sim::noise::NoiseModel;
 use spin_sim::time::Time;
@@ -602,6 +606,22 @@ impl ScenarioCompiler {
         Ok(())
     }
 
+    /// `KvInserts.slots` sizes every server's table: the slot hash divides
+    /// by it, and the table's host memory must fit a `usize`.
+    fn check_kv_slots(&self, slots: u64) -> Result<(), Error> {
+        let why = if slots == 0 {
+            "must be at least 1"
+        } else if spin_apps::kvstore::mem_size(slots).is_none() {
+            "sizes a table larger than the address space"
+        } else {
+            return Ok(());
+        };
+        Err(Error::msg(format!(
+            "scenario {:?}: workload.KvInserts.slots = {slots} {why}",
+            self.scenario.name
+        )))
+    }
+
     /// Compile to a ready-to-run builder.
     pub fn compile(&self) -> Result<SimBuilder, Error> {
         let s = &self.scenario;
@@ -683,6 +703,7 @@ impl ScenarioCompiler {
             }
             Workload::KvInserts { slots, inserts } => {
                 fixed_root("key-value")?;
+                self.check_kv_slots(*slots)?;
                 let pairs = spin_apps::kvstore::random_pairs(*inserts, cfg.seed);
                 Ok(spin_apps::kvstore::builder(cfg, n - 1, *slots, pairs))
             }
@@ -720,16 +741,12 @@ impl ScenarioCompiler {
         }
     }
 
-    /// Compile and run: `shards == 0` honors `SPIN_SHARDS` (the default
-    /// engine dispatch), `1` forces the serial reference engine, `k ≥ 2`
-    /// the sharded engine.
+    /// Compile and run: `shards ≤ 1` runs the serial reference engine,
+    /// `k ≥ 2` the exact sharded engine (bit-identical to serial).
     pub fn run(&self, shards: usize) -> Result<SimOutput, Error> {
-        let b = self.compile()?;
-        Ok(match shards {
-            0 => b.run(),
-            1 => b.run_serial(),
-            k => b.run_with_shards(k),
-        })
+        Ok(self
+            .compile()?
+            .run_with_shards_mode(shards, ShardMode::Exact))
     }
 
     /// Check the report against the scenario's pinned expectations.
@@ -806,83 +823,6 @@ pub fn parse_digest(text: &str) -> Option<u64> {
         .strip_prefix("0x")
         .or_else(|| text.strip_prefix("0X"))?;
     u64::from_str_radix(hex, 16).ok()
-}
-
-// ------------------------------------------------------------ the digest
-
-/// Render every observable of a report into one stable string — the same
-/// shape the determinism goldens fingerprint, so a scenario twin of a
-/// pinned golden reproduces the golden's hash exactly.
-pub fn fingerprint(r: &Report) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(out, "end={} events={}", r.end_time.ps(), r.events_executed).unwrap();
-    for (rank, label, t) in &r.marks {
-        writeln!(out, "mark r{rank} {label} @{}", t.ps()).unwrap();
-    }
-    for (rank, label, v) in &r.values {
-        writeln!(out, "value r{rank} {label} = {v}").unwrap();
-    }
-    for (i, s) in r.node_stats.iter().enumerate() {
-        writeln!(
-            out,
-            "node{i} dma={}b/{}r/{}w host={}b hpu={}a/{}rj busy={} fc={} drop={} runs={:?} errs={}",
-            s.dma_bytes,
-            s.dma_reads,
-            s.dma_writes,
-            s.host_mem_bytes,
-            s.hpu_admitted,
-            s.hpu_rejected,
-            s.hpu_busy_ns,
-            s.flow_control_events,
-            s.packets_dropped,
-            s.handler_runs,
-            s.handler_errors,
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "recov{i} nacks={}tx/{}rx backoffs={} probes={} rtx={} held={} dropped={} reen={} disabled={} rec={}m/{}ns",
-            s.nacks_sent,
-            s.recovery_nacks,
-            s.recovery_backoffs,
-            s.recovery_probes,
-            s.recovery_retransmits,
-            s.recovery_held,
-            s.recovery_abandoned,
-            s.pt_reenables,
-            s.pt_disabled_ns,
-            s.recovered_messages,
-            s.recovery_latency_ns,
-        )
-        .unwrap();
-        // Fault counters appear only when the fault machinery actually
-        // fired, so every pre-fault-subsystem digest reproduces unchanged.
-        if s.drops_on_dead_link + s.reroutes + s.crash_recoveries > 0
-            || !s.abandoned_peers.is_empty()
-        {
-            writeln!(
-                out,
-                "fault{i} deadlink={} reroutes={} crashrec={} rtxbytes={} abandoned={:?}",
-                s.drops_on_dead_link,
-                s.reroutes,
-                s.crash_recoveries,
-                s.retransmitted_bytes,
-                s.abandoned_peers,
-            )
-            .unwrap();
-        }
-    }
-    if r.links_downed_ns > 0 {
-        writeln!(out, "faults downed_ns={}", r.links_downed_ns).unwrap();
-    }
-    writeln!(out, "net packets={} bytes={}", r.net_packets, r.net_bytes).unwrap();
-    out
-}
-
-/// FNV-1a over the fingerprint: one stable u64 per run.
-pub fn digest(r: &Report) -> u64 {
-    spin_sim::fnv1a(fingerprint(r).as_bytes())
 }
 
 #[cfg(test)]
@@ -1139,6 +1079,20 @@ mod tests {
                 r#"{"mem_size": 4096}"#,
                 GATHER,
                 Some("machine.mem_size = 4096 is below the gather layout's end at 4 nodes; it must be at least 528384"),
+            ),
+            (
+                "key-value table of 0 slots",
+                TREE4,
+                "{}",
+                r#"{"KvInserts": {"slots": 0, "inserts": 10}}"#,
+                Some("workload.KvInserts.slots = 0 must be at least 1"),
+            ),
+            (
+                "key-value table of u64::MAX slots",
+                TREE4,
+                "{}",
+                r#"{"KvInserts": {"slots": 18446744073709551615, "inserts": 10}}"#,
+                Some("workload.KvInserts.slots = 18446744073709551615 sizes a table larger than the address space"),
             ),
         ];
         for (what, topology, machine, workload, want) in cases {

@@ -6,89 +6,38 @@
 //! charged time, so
 //!
 //! * the **exact** sharded engine stays *byte-identical* to serial under
-//!   arbitrary fault schedules — pinned here by a randomized differential
-//!   (random traffic × random flap/crash/degrade schedules);
-//! * the **relaxed** pairwise-horizon engine stays *count-stable* under
-//!   latency-only degradations (every fault effect adds latency or drops,
-//!   never lowers a route below its base, so the horizons stay sound);
+//!   arbitrary fault schedules (the reports' derived `Debug` text) —
+//!   pinned here by a randomized differential (random traffic × random
+//!   flap/crash/degrade schedules);
+//! * the **relaxed** pairwise-horizon engine stays *count-stable*
+//!   (`spin_core::world::delivery_fingerprint`) under latency-only
+//!   degradations (every fault effect adds latency or drops, never lowers
+//!   a route below its base, so the horizons stay sound);
 //! * under drop-capable faults the relaxed engine still delivers the same
 //!   *outcome multiset* — every (rank, label) host event fires exactly as
-//!   in serial even though drop/probe counts may shift with tie-breaks;
+//!   in serial. Drop and probe counts could shift with tie-breaks; on the
+//!   directed flap + crash schedule below they do not, so it pins the
+//!   whole count-stable view;
 //! * a mid-run link flap under incast completes **every** delivery through
-//!   the recovery machine (the acceptance regression), and selective
-//!   retransmission replays only the dead tail of a half-transmitted
-//!   message instead of the whole body.
+//!   the recovery machine (the acceptance regression), and a
+//!   half-transmitted message replays only its dead tail instead of the
+//!   whole body.
 
 mod common;
 
-use common::{
-    fault_plan_from, fingerprint, plans_from, run_case_faults_mode, PlannedOp, TrafficNode, MTU,
-};
+use common::{fault_plan_from, plans_from, run_case_faults_mode, PlannedOp, TrafficNode, MTU};
 use proptest::collection;
 use proptest::prelude::*;
 use spin_core::config::{MachineConfig, NicKind};
 use spin_core::fault::{FaultKind, FaultPlan};
-use spin_core::world::{NodeStats, Report, ShardMode, SimBuilder};
+use spin_core::world::{delivery_fingerprint, NodeStats, Report, ShardMode, SimBuilder};
 use spin_sim::time::Time;
-
-/// The count-stable slice of a report (the relaxed engine's contract):
-/// everything integer-shaped, including the fault counters.
-fn stable_fingerprint(r: &Report) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(out, "events={}", r.events_executed).unwrap();
-    writeln!(out, "net packets={} bytes={}", r.net_packets, r.net_bytes).unwrap();
-    writeln!(out, "downed={}", r.links_downed_ns).unwrap();
-    let mut marks: Vec<(u32, &str)> = r.marks.iter().map(|(n, l, _)| (*n, l.as_str())).collect();
-    marks.sort_unstable();
-    for (rank, label) in marks {
-        writeln!(out, "mark r{rank} {label}").unwrap();
-    }
-    for (i, s) in r.node_stats.iter().enumerate() {
-        writeln!(
-            out,
-            "node{i} dma={}/{}/{} hpu={}/{} fc={} drop={} deadlink={} reroutes={} crashrec={} \
-             rtxbytes={} nack={}/{} rec={}/{}/{}/{} abandoned={}/{:?} recovered={}",
-            s.dma_bytes,
-            s.dma_reads,
-            s.dma_writes,
-            s.hpu_admitted,
-            s.hpu_rejected,
-            s.flow_control_events,
-            s.packets_dropped,
-            s.drops_on_dead_link,
-            s.reroutes,
-            s.crash_recoveries,
-            s.retransmitted_bytes,
-            s.nacks_sent,
-            s.recovery_nacks,
-            s.recovery_backoffs,
-            s.recovery_probes,
-            s.recovery_retransmits,
-            s.recovery_held,
-            s.recovery_abandoned,
-            s.abandoned_peers,
-            s.recovered_messages,
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// Sorted multiset of every host-visible event: what must survive *any*
-/// engine under drop-capable faults (drop and probe counts may shift with
-/// tie-break order; deliveries may not).
-fn delivery_marks(r: &Report) -> Vec<(u32, String)> {
-    let mut marks: Vec<(u32, String)> = r.marks.iter().map(|(n, l, _)| (*n, l.clone())).collect();
-    marks.sort_unstable();
-    marks
-}
 
 proptest! {
     /// Random fault schedules over random traffic: the exact sharded
     /// engine reproduces the serial report byte for byte at 2 and 4
-    /// shards (CI's `SPIN_SHARDS=4` leg pins the same property over the
-    /// scenario corpus).
+    /// shards (`crates/scenario/tests/corpus.rs` pins the same property
+    /// at 4 shards over the scenario corpus).
     #[test]
     fn chaos_schedules_are_engine_invariant(
         n in 4u32..8,
@@ -98,12 +47,12 @@ proptest! {
         let plans = plans_from(n, &traffic);
         let plan = fault_plan_from(n, &faults);
         let serial = run_case_faults_mode(n, &plans, &plan, 1, ShardMode::Exact);
-        let golden = fingerprint(&serial);
+        let golden = format!("{serial:?}");
         for shards in [2usize, 4] {
             let sharded = run_case_faults_mode(n, &plans, &plan, shards, ShardMode::Exact);
             prop_assert_eq!(
                 &golden,
-                &fingerprint(&sharded),
+                &format!("{sharded:?}"),
                 "exact engine diverged from serial at {} shards under faults {:?}",
                 shards,
                 plan.events
@@ -180,8 +129,8 @@ fn link_flap_mid_incast_completes_every_delivery() {
 
     let sharded = run_case_faults_mode(n, &plans, &plan, 4, ShardMode::Exact);
     assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&sharded),
+        format!("{serial:?}"),
+        format!("{sharded:?}"),
         "exact engine diverged under the flap"
     );
 }
@@ -230,23 +179,23 @@ fn relaxed_latency_only_degrade_is_count_stable() {
     let serial = run_case_faults_mode(n, &plans, &plan, 1, ShardMode::Exact);
     let relaxed = run_case_faults_mode(n, &plans, &plan, 4, ShardMode::Relaxed);
     assert_eq!(
-        stable_fingerprint(&serial),
-        stable_fingerprint(&relaxed),
+        delivery_fingerprint(&serial),
+        delivery_fingerprint(&relaxed),
         "relaxed counts diverged under a latency-only degrade"
     );
     // And the relaxed engine is reproducible against itself.
     let again = run_case_faults_mode(n, &plans, &plan, 4, ShardMode::Relaxed);
     assert_eq!(
-        fingerprint(&relaxed),
-        fingerprint(&again),
+        format!("{relaxed:?}"),
+        format!("{again:?}"),
         "relaxed run not reproducible under faults"
     );
 }
 
-/// Drop-capable faults (flap + crash/restart) in the relaxed engine:
-/// probe timing may shift with tie-breaks, but the delivered-outcome
-/// multiset — every Put, Ack, and armed mark on every rank — is exactly
-/// serial's, and the run reproduces bit-identically against itself.
+/// Drop-capable faults (flap + crash/restart) in the relaxed engine: the
+/// count-stable view — every Put, Ack, and armed mark on every rank, and
+/// on this schedule the drop and probe counts too — is exactly serial's,
+/// and the run reproduces bit-identically against itself.
 #[test]
 fn relaxed_flap_and_crash_keep_deliveries_stable() {
     let n = 6u32;
@@ -289,25 +238,24 @@ fn relaxed_flap_and_crash_keep_deliveries_stable() {
     );
     let relaxed = run_case_faults_mode(n, &plans, &plan, 4, ShardMode::Relaxed);
     assert_eq!(
-        delivery_marks(&serial),
-        delivery_marks(&relaxed),
+        delivery_fingerprint(&serial),
+        delivery_fingerprint(&relaxed),
         "relaxed deliveries diverged under flap + crash"
     );
     let again = run_case_faults_mode(n, &plans, &plan, 4, ShardMode::Relaxed);
     assert_eq!(
-        fingerprint(&relaxed),
-        fingerprint(&again),
+        format!("{relaxed:?}"),
+        format!("{again:?}"),
         "relaxed run not reproducible under drop-capable faults"
     );
 }
 
-// --------------------------------------- selective tail retransmission
+// ------------------------------------------------------- tail resume
 
 /// One 24-packet acked put from rank 0 to rank 1 under a receiver-side
-/// link flap, with selective retransmission on or off.
-fn run_tail_cut(selective: bool, down_ns: u64, up_ns: u64) -> Report {
+/// link flap.
+fn run_tail_cut(down_ns: u64, up_ns: u64) -> Report {
     let mut config = MachineConfig::paper(NicKind::Integrated).with_recovery();
-    config.recovery.as_mut().unwrap().selective_retransmit = selective;
     config.net.switch_ports = 4;
     let config = config.with_faults(
         FaultPlan::default()
@@ -339,13 +287,12 @@ fn delivered(r: &Report) -> bool {
             .any(|(n, l, _)| *n == 1 && l.starts_with("Put"))
 }
 
-/// Selective retransmission replays only the dead tail: scan flap onsets
+/// A mid-message path death replays only the dead tail: scan flap onsets
 /// across the message's transmission window until one cuts the message
-/// mid-flight, then pin that the selective sender resends strictly fewer
-/// bytes than the whole-message baseline at the same schedule — with the
-/// same delivery outcome.
+/// mid-flight, then pin that the sender resent strictly less than the
+/// whole body and still delivered.
 #[test]
-fn selective_retransmit_resends_only_the_dead_tail() {
+fn tail_resume_resends_only_the_dead_tail() {
     let full_body = (24 * MTU) as u64;
     let mut witnessed = false;
     for step in 0..28u64 {
@@ -353,34 +300,19 @@ fn selective_retransmit_resends_only_the_dead_tail() {
         // occupy ~82 ns each, so onsets stepped at 150 ns sweep the whole
         // transmission window.
         let down = 10_300 + step * 150;
-        let up = down + 1_000;
-        let sel = run_tail_cut(true, down, up);
-        let tail = sel.node_stats[0].retransmitted_bytes;
+        let report = run_tail_cut(down, down + 1_000);
+        let tail = report.node_stats[0].retransmitted_bytes;
         if tail == 0 || tail >= full_body {
             continue; // flap missed the message or killed it from packet 0
         }
         // A mid-message cut: the tail resume replayed a strict subset.
         assert!(
-            delivered(&sel),
-            "selective run lost the message (down={down})"
+            delivered(&report),
+            "tail resume lost the message (down={down})"
         );
         assert!(
-            sel.node_stats[0].drops_on_dead_link > 0,
+            report.node_stats[0].drops_on_dead_link > 0,
             "tail cut without dead-link drops (down={down})"
-        );
-        let full = run_tail_cut(false, down, up);
-        assert!(
-            delivered(&full),
-            "baseline run lost the message (down={down})"
-        );
-        let replayed = full.node_stats[0].retransmitted_bytes;
-        assert!(
-            replayed >= full_body,
-            "baseline replayed {replayed} bytes, expected the whole {full_body}-byte body"
-        );
-        assert!(
-            tail < replayed,
-            "selective resent {tail} bytes, baseline {replayed} (down={down})"
         );
         witnessed = true;
         break;

@@ -1,7 +1,9 @@
-//! Shared differential-test harness: a randomized traffic program and
-//! report fingerprinting, used by both `shard_equivalence.rs` (exact
-//! engine, byte-identity) and `shard_relaxed.rs` (relaxed engine,
-//! statistical equivalence).
+//! Shared differential-test harness: a randomized traffic program and a
+//! random fault schedule, run on any engine. `shard_equivalence.rs` and
+//! `chaos_differential.rs` compare the exact engine's reports with serial
+//! through their derived `Debug` text; `shard_relaxed.rs` and
+//! `chaos_differential.rs` compare the relaxed engine's through
+//! `spin_core::world::delivery_fingerprint`.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use spin_core::config::{MachineConfig, NicKind};
@@ -66,25 +68,6 @@ impl HostProgram for TrafficNode {
     }
 }
 
-/// Render every observable of a report into one stable string (the same
-/// shape the determinism goldens pin).
-pub fn fingerprint(r: &Report) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(out, "end={} events={}", r.end_time.ps(), r.events_executed).unwrap();
-    for (rank, label, t) in &r.marks {
-        writeln!(out, "mark r{rank} {label} @{}", t.ps()).unwrap();
-    }
-    for (rank, label, v) in &r.values {
-        writeln!(out, "value r{rank} {label} = {v}").unwrap();
-    }
-    for (i, s) in r.node_stats.iter().enumerate() {
-        writeln!(out, "node{i} {s:?}").unwrap();
-    }
-    writeln!(out, "net packets={} bytes={}", r.net_packets, r.net_bytes).unwrap();
-    out
-}
-
 /// Shape raw proptest words into per-rank plans for an `n`-node world.
 pub fn plans_from(n: u32, specs: &[(u8, u64, u64)]) -> Vec<Vec<PlannedOp>> {
     let mut plans: Vec<Vec<PlannedOp>> = (0..n).map(|_| Vec::new()).collect();
@@ -113,16 +96,14 @@ pub fn plans_from(n: u32, specs: &[(u8, u64, u64)]) -> Vec<Vec<PlannedOp>> {
 pub fn run_case_mode(n: u32, plans: &[Vec<PlannedOp>], shards: usize, mode: ShardMode) -> Report {
     let mut config = MachineConfig::paper(NicKind::Integrated);
     config.net.switch_ports = 4; // multi-level tree even at small n
-    let builder = SimBuilder::new(config).nodes_with(n, |r| {
-        Box::new(TrafficNode {
-            plan: plans[r as usize].clone(),
+    SimBuilder::new(config)
+        .nodes_with(n, |r| {
+            Box::new(TrafficNode {
+                plan: plans[r as usize].clone(),
+            })
         })
-    });
-    if shards <= 1 {
-        builder.run_serial().report
-    } else {
-        builder.run_with_shards_mode(shards, mode).report
-    }
+        .run_with_shards_mode(shards, mode)
+        .report
 }
 
 /// Run one case on the serial engine (`shards <= 1`) or the exact sharded
@@ -146,16 +127,14 @@ pub fn run_case_faults_mode(
     if !plan.events.is_empty() {
         config = config.with_faults(plan.clone());
     }
-    let builder = SimBuilder::new(config).nodes_with(n, |r| {
-        Box::new(TrafficNode {
-            plan: plans[r as usize].clone(),
+    SimBuilder::new(config)
+        .nodes_with(n, |r| {
+            Box::new(TrafficNode {
+                plan: plans[r as usize].clone(),
+            })
         })
-    });
-    if shards <= 1 {
-        builder.run_serial().report
-    } else {
-        builder.run_with_shards_mode(shards, mode).report
-    }
+        .run_with_shards_mode(shards, mode)
+        .report
 }
 
 /// Shape raw proptest words into a *valid* fault schedule for an `n`-node

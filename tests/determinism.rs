@@ -1,42 +1,35 @@
 //! Determinism regression across every transport and NIC integration
 //! style, extending the seed's single-mode check in `integration.rs`: the
 //! discrete-event engine promises bit-identical schedules for identical
-//! inputs, so two runs of any configuration must agree exactly on end
-//! time, event count, and every recorded mark.
+//! inputs, so two runs of any configuration — one on the serial engine,
+//! one at 4 exact shards — must agree on every field of the report. The
+//! six goldens below pin `spin_core::world::digest` on both engines.
 
 use spin_apps::pingpong::{self, PingPongMode};
 use spin_core::config::{MachineConfig, NicKind};
 use spin_core::handlers::FnHandlers;
 use spin_core::host::{HostApi, HostProgram, MeSpec, PutArgs};
-use spin_core::world::{Report, SimBuilder};
+use spin_core::world::{digest, fingerprint, Report, ShardMode, SimBuilder};
 use spin_hpu::ctx::{CompletionRet, HeaderRet, PayloadRet};
 use spin_hpu::pool::HpuConfig;
 use spin_portals::types::UserHeader;
-use spin_sim::fnv1a;
 use spin_sim::time::{BytesPerTime, Time};
 
 #[test]
 fn every_transport_and_nic_kind_is_deterministic() {
     for nic in [NicKind::Discrete, NicKind::Integrated] {
         for mode in PingPongMode::ALL {
-            let run = || pingpong::run_full(MachineConfig::paper(nic), mode, 16 * 1024, 2);
-            let a = run();
-            let b = run();
-            assert_eq!(
-                a.report.end_time, b.report.end_time,
-                "end_time diverged for {nic:?}/{mode:?}"
-            );
-            assert_eq!(
-                a.report.events_executed, b.report.events_executed,
-                "events_executed diverged for {nic:?}/{mode:?}"
-            );
-            assert_eq!(
-                a.report.marks, b.report.marks,
-                "marks diverged for {nic:?}/{mode:?}"
-            );
+            let build = || pingpong::builder(MachineConfig::paper(nic), mode, 16 * 1024, 2);
+            let serial = build().run_serial().report;
+            let sharded = build().run_with_shards_mode(4, ShardMode::Exact).report;
             assert!(
-                a.report.events_executed > 0,
+                serial.events_executed > 0,
                 "{nic:?}/{mode:?} executed no events"
+            );
+            assert_eq!(
+                format!("{serial:?}"),
+                format!("{sharded:?}"),
+                "{nic:?}/{mode:?} diverged at 4 exact shards"
             );
         }
     }
@@ -224,57 +217,30 @@ impl HostProgram for FlowReceiver {
     }
 }
 
-/// Render every observable of a report into one stable string. The goldens
-/// pin its FNV-1a hash and print the full string on a mismatch for diffing.
-fn fingerprint(r: &Report) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(out, "end={} events={}", r.end_time.ps(), r.events_executed).unwrap();
-    for (rank, label, t) in &r.marks {
-        writeln!(out, "mark r{rank} {label} @{}", t.ps()).unwrap();
+/// Assert a golden's pinned digest on the serial engine and at 4 exact
+/// shards, printing the full fingerprint on a mismatch for diffing
+/// (`GOLDEN_CAPTURE=1` prints the hashes instead). Returns the serial
+/// report.
+fn assert_golden(what: &str, build: impl Fn() -> SimBuilder, want: u64) -> Report {
+    let serial = build().run_serial().report;
+    let sharded = build().run_with_shards_mode(4, ShardMode::Exact).report;
+    for (engine, report) in [("serial", &serial), ("4 exact shards", &sharded)] {
+        let got = digest(report);
+        if std::env::var_os("GOLDEN_CAPTURE").is_some() {
+            eprintln!("{what} golden ({engine}): {got:#x}u64");
+            continue;
+        }
+        assert_eq!(
+            got,
+            want,
+            "{what} golden diverged on {engine} (hash {got:#x}):\n{}",
+            fingerprint(report)
+        );
     }
-    for (rank, label, v) in &r.values {
-        writeln!(out, "value r{rank} {label} = {v}").unwrap();
-    }
-    for (i, s) in r.node_stats.iter().enumerate() {
-        writeln!(
-            out,
-            "node{i} dma={}b/{}r/{}w host={}b hpu={}a/{}rj busy={} fc={} drop={} runs={:?} errs={}",
-            s.dma_bytes,
-            s.dma_reads,
-            s.dma_writes,
-            s.host_mem_bytes,
-            s.hpu_admitted,
-            s.hpu_rejected,
-            s.hpu_busy_ns,
-            s.flow_control_events,
-            s.packets_dropped,
-            s.handler_runs,
-            s.handler_errors,
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "recov{i} nacks={}tx/{}rx backoffs={} probes={} rtx={} held={} dropped={} reen={} disabled={} rec={}m/{}ns",
-            s.nacks_sent,
-            s.recovery_nacks,
-            s.recovery_backoffs,
-            s.recovery_probes,
-            s.recovery_retransmits,
-            s.recovery_held,
-            s.recovery_abandoned,
-            s.pt_reenables,
-            s.pt_disabled_ns,
-            s.recovered_messages,
-            s.recovery_latency_ns,
-        )
-        .unwrap();
-    }
-    writeln!(out, "net packets={} bytes={}", r.net_packets, r.net_bytes).unwrap();
-    out
+    serial
 }
 
-fn golden_scenario(nic: NicKind, flow: bool) -> Report {
+fn golden_builder(nic: NicKind, flow: bool) -> SimBuilder {
     let mut config = MachineConfig::paper(nic);
     if flow {
         config.hpu = HpuConfig {
@@ -291,8 +257,6 @@ fn golden_scenario(nic: NicKind, flow: bool) -> Report {
     SimBuilder::new(config)
         .add_node(Box::new(GoldenSender { flow }))
         .add_node(receiver)
-        .run()
-        .report
 }
 
 #[test]
@@ -316,15 +280,10 @@ fn golden_report_equivalence_matrix() {
         (NicKind::Integrated, true, 0x62da957637e17421u64),
     ];
     for (nic, flow, want) in goldens {
-        let fp = fingerprint(&golden_scenario(nic, flow));
-        let got = fnv1a(fp.as_bytes());
-        if std::env::var_os("GOLDEN_CAPTURE").is_some() {
-            eprintln!("({nic:?}, {flow}, {got:#x}u64),");
-            continue;
-        }
-        assert_eq!(
-            got, want,
-            "golden report diverged for {nic:?}/flow={flow} (hash {got:#x}):\n{fp}"
+        assert_golden(
+            &format!("{nic:?}/flow={flow}"),
+            || golden_builder(nic, flow),
+            want,
         );
     }
 }
@@ -334,7 +293,7 @@ fn golden_scenarios_exercise_every_delivery_mode() {
     // Guard against the matrix passing vacuously: the normal scenario must
     // run all three handler stages and move acked/replied data; the flow
     // scenario must actually reject admissions and drop packets.
-    let normal = golden_scenario(NicKind::Discrete, false);
+    let normal = golden_builder(NicKind::Discrete, false).run_serial().report;
     let stats = &normal.node_stats[1];
     let (hdr, pay, cpl) = stats.handler_runs;
     assert!(hdr >= 3, "header handlers ran: {hdr}");
@@ -348,7 +307,7 @@ fn golden_scenarios_exercise_every_delivery_mode() {
         .marks
         .iter()
         .any(|(r, l, _)| *r == 0 && l.contains("snd-Reply")));
-    let flow = golden_scenario(NicKind::Discrete, true);
+    let flow = golden_builder(NicKind::Discrete, true).run_serial().report;
     let fstats = &flow.node_stats[1];
     assert!(fstats.hpu_rejected > 0, "flow scenario rejected admissions");
     assert!(fstats.flow_control_events > 0, "flow control fired");
@@ -369,16 +328,16 @@ fn golden_scenarios_exercise_every_delivery_mode() {
 // live in `spin_apps::gather` (shared with the scenario compiler, whose
 // equivalence suite pins the same golden hash from a declarative config).
 
-fn fat_tree_scenario() -> spin_core::world::SimOutput {
+fn fat_tree_builder() -> SimBuilder {
     let mut config = MachineConfig::paper(NicKind::Integrated);
     config.net.switch_ports = 4; // 3 levels at 12 nodes: leaves of 2, pods of 4
     config.host.mem_size = 1 << 20;
-    spin_apps::gather::builder(config, 12, 0, MTU + 1904, 256, 5).run()
+    spin_apps::gather::builder(config, 12, 0, MTU + 1904, 256, 5)
 }
 
 #[test]
 fn golden_fat_tree_cross_pod_matrix() {
-    let out = fat_tree_scenario();
+    let out = fat_tree_builder().run_serial();
     let topo = out.world.network.topology();
     assert_eq!(topo.levels(), 3, "scenario must span a 3-level tree");
     assert_eq!(topo.nodes_per_pod(), 4);
@@ -403,21 +362,9 @@ fn golden_fat_tree_cross_pod_matrix() {
         .filter(|(_, l, _)| l.contains("-Put-") && l.contains("m256"))
         .count();
     assert_eq!(ring_puts, 11, "all 11 exchange puts delivered");
-    // Determinism plus the pinned golden: multi-hop routing, incast
-    // serialization, and the ack path must reproduce bit-for-bit.
-    let b = fat_tree_scenario();
-    assert_eq!(report.end_time, b.report.end_time);
-    assert_eq!(report.marks, b.report.marks);
-    let fp = fingerprint(report);
-    let got = fnv1a(fp.as_bytes());
-    if std::env::var_os("GOLDEN_CAPTURE").is_some() {
-        eprintln!("fat_tree golden: {got:#x}u64");
-        return;
-    }
-    assert_eq!(
-        got, 0xc168fc2e110a6a9bu64,
-        "fat-tree golden diverged (hash {got:#x}):\n{fp}"
-    );
+    // The pinned golden: multi-hop routing, incast serialization, and the
+    // ack path must reproduce bit-for-bit.
+    assert_golden("fat-tree", fat_tree_builder, 0xc168fc2e110a6a9bu64);
 }
 
 // ------------------------------------------------- zero-occupancy incast
@@ -469,28 +416,18 @@ impl HostProgram for IncastNode {
 
 #[test]
 fn golden_zero_occupancy_incast() {
-    let mut config = MachineConfig::paper(NicKind::Integrated);
-    config.net.switch_ports = 4;
-    config.net.g = Time::ZERO;
-    config.net.big_g = BytesPerTime::from_ps_per_byte(0);
-    let report = SimBuilder::new(config)
-        .nodes_with(6, |r| Box::new(IncastNode { sender: r != 0 }))
-        .run()
-        .report;
+    let build = || {
+        let mut config = MachineConfig::paper(NicKind::Integrated);
+        config.net.switch_ports = 4;
+        config.net.g = Time::ZERO;
+        config.net.big_g = BytesPerTime::from_ps_per_byte(0);
+        SimBuilder::new(config).nodes_with(6, |r| Box::new(IncastNode { sender: r != 0 }))
+    };
+    let report = assert_golden("zero-occupancy incast", build, 0x5632_2888_7973_b7fdu64);
     // Not vacuous: the incast actually moved multi-packet traffic.
     assert!(
         report.net_packets >= 30,
         "incast sent only {} packets",
         report.net_packets
-    );
-    let fp = fingerprint(&report);
-    let got = fnv1a(fp.as_bytes());
-    if std::env::var_os("GOLDEN_CAPTURE").is_some() {
-        eprintln!("zero-occupancy incast golden: {got:#x}u64");
-        return;
-    }
-    assert_eq!(
-        got, 0x5632_2888_7973_b7fdu64,
-        "zero-occupancy incast golden diverged (hash {got:#x}):\n{fp}"
     );
 }

@@ -6,7 +6,8 @@
 //!    determinism golden byte-for-byte (same digest as the hand-coded
 //!    gather builder, on the serial and the sharded engine);
 //! 2. `scenarios/incast48.json` reproduces the 48-node incast world of
-//!    `spin_experiments::sharding`, checked with that module's own digest;
+//!    `spin_experiments::sharding`: the whole report, `Debug` text and
+//!    all, on the serial and the sharded engine;
 //! 3. a property test: impaired scenarios (jitter, loss, background)
 //!    stay bit-identical across engine shard counts — the impairment
 //!    RNG streams replay independently of execution order.
@@ -51,16 +52,15 @@ fn fat_tree_scenario_is_byte_identical_to_the_pinned_golden() {
 
 #[test]
 fn incast_scenario_is_byte_identical_to_the_sharding_benchmark() {
-    let hand = sharding::incast_builder(48, 6).run_serial();
-    let want = sharding::digest(&hand.report);
+    let want = format!("{:?}", sharding::incast_builder(48, 6).run_serial().report);
     let c = load("scenarios/incast48.json");
     assert_eq!(
-        sharding::digest(&c.run(1).unwrap().report),
+        format!("{:?}", c.run(1).unwrap().report),
         want,
         "serial twin diverged from sharding::incast_builder(48, 6)"
     );
     assert_eq!(
-        sharding::digest(&c.run(4).unwrap().report),
+        format!("{:?}", c.run(4).unwrap().report),
         want,
         "4-shard twin diverged from sharding::incast_builder(48, 6)"
     );
@@ -127,9 +127,9 @@ proptest! {
             expect: Expect::default(),
         };
         let c = ScenarioCompiler::new(scenario);
-        let serial = digest(&c.run(1).unwrap().report);
+        let serial = format!("{:?}", c.run(1).unwrap().report);
         for shards in [2usize, 4] {
-            let sharded = digest(&c.run(shards).unwrap().report);
+            let sharded = format!("{:?}", c.run(shards).unwrap().report);
             prop_assert_eq!(
                 serial, sharded,
                 "nodes={} seed={:#x} jitter={} loss={} bg={} diverged at {} shards",

@@ -1,24 +1,29 @@
 //! Differential contract of the **relaxed** pairwise-horizon sharded
-//! engine (`SPIN_SHARD_MODE=relaxed`, see `spin-core`'s `relaxed` module).
+//! engine (`run_with_shards_mode(k, ShardMode::Relaxed)`, see
+//! `spin-core`'s `relaxed` module).
 //!
 //! The relaxed engine gives up the serial engine's tie-break order —
 //! ingress contention resolves in packet-head order, not global
 //! send-dispatch order — so reports are *not* byte-identical. What it must
 //! preserve, and what this harness pins differentially against the serial
-//! reference, is everything count-shaped:
+//! reference through `spin_core::world::delivery_fingerprint`, is
+//! everything count-shaped:
 //!
 //! * fabric totals: packets moved, payload bytes moved;
 //! * the event count (after subtracting the relaxed engine's `WireSend`
 //!   bookkeeping dispatches, which the serial engine performs inline);
 //! * the multiset of `(rank, label)` marks — every delivery, ack, and
 //!   reply event fires on the same rank with the same label;
+//! * the recorded values and `links_downed_ns`;
 //! * every integer per-node statistic (DMA traffic, handler runs, memory
-//!   bytes, flow-control and recovery counters — all zero-loss here);
+//!   bytes, flow-control, recovery and fault counters — all zero-loss
+//!   here);
 //! * the end-to-end time, within a small tolerance (contention order can
 //!   shift completion by sub-occupancy amounts, never by orders of
 //!   magnitude);
-//! * determinism: two relaxed runs of the same case are bit-identical to
-//!   each other (exchanges are serial, mailbox merges are keyed).
+//! * determinism: two relaxed runs of the same case have identical
+//!   reports, `Debug` text and all (exchanges are serial, mailbox merges
+//!   are keyed).
 //!
 //! Loopback workloads must also run unpanicked — same-node sends ride the
 //! per-node self-queue in every mode — and a zero-latency fabric is
@@ -26,63 +31,12 @@
 
 mod common;
 
-use common::{fingerprint, plans_from, run_case_mode, PlannedOp, TrafficNode, MTU};
+use common::{plans_from, run_case_mode, PlannedOp, TrafficNode, MTU};
 use proptest::collection;
 use proptest::prelude::*;
 use spin_core::config::{MachineConfig, NicKind};
-use spin_core::world::{Report, ShardMode, SimBuilder};
+use spin_core::world::{delivery_fingerprint, ShardMode, SimBuilder};
 use spin_sim::time::Time;
-
-/// The count-stable slice of a report: everything that must survive the
-/// relaxed engine's reordering bit-for-bit.
-fn stable_fingerprint(r: &Report) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(out, "events={}", r.events_executed).unwrap();
-    writeln!(out, "net packets={} bytes={}", r.net_packets, r.net_bytes).unwrap();
-    // Marks as a sorted (rank, label) multiset: times may shift, the set
-    // of things that happened may not.
-    let mut marks: Vec<(u32, &str)> = r.marks.iter().map(|(n, l, _)| (*n, l.as_str())).collect();
-    marks.sort_unstable();
-    for (rank, label) in marks {
-        writeln!(out, "mark r{rank} {label}").unwrap();
-    }
-    for (rank, label, v) in &r.values {
-        writeln!(out, "value r{rank} {label} = {v}").unwrap();
-    }
-    for (i, s) in r.node_stats.iter().enumerate() {
-        // Integer statistics only: f64 aggregates (busy/disabled time) sum
-        // in execution order and may differ in the last ulp or shift with
-        // admission timing.
-        writeln!(
-            out,
-            "node{i} dma={}/{}/{} hostmem={} hpu={}/{} fc={} drop={} runs={:?} err={} forced={} \
-             nack={}/{} rec={}/{}/{}/{}/{} pt={} recovered={}",
-            s.dma_bytes,
-            s.dma_reads,
-            s.dma_writes,
-            s.host_mem_bytes,
-            s.hpu_admitted,
-            s.hpu_rejected,
-            s.flow_control_events,
-            s.packets_dropped,
-            s.handler_runs,
-            s.handler_errors,
-            s.forced_completion_admissions,
-            s.nacks_sent,
-            s.recovery_nacks,
-            s.recovery_backoffs,
-            s.recovery_probes,
-            s.recovery_retransmits,
-            s.recovery_held,
-            s.recovery_abandoned,
-            s.pt_reenables,
-            s.recovered_messages,
-        )
-        .unwrap();
-    }
-    out
-}
 
 /// End times must agree within 5% plus a microsecond of slack — tie-break
 /// reshuffling moves individual arrivals by at most a few link occupancies
@@ -109,12 +63,12 @@ proptest! {
     ) {
         let plans = plans_from(n, &specs);
         let serial = run_case_mode(n, &plans, 1, ShardMode::Exact);
-        let stable = stable_fingerprint(&serial);
+        let stable = delivery_fingerprint(&serial);
         for shards in [2usize, 3, 8] {
             let relaxed = run_case_mode(n, &plans, shards, ShardMode::Relaxed);
             prop_assert_eq!(
                 &stable,
-                &stable_fingerprint(&relaxed),
+                &delivery_fingerprint(&relaxed),
                 "count-stable observables diverged at {} shards (n={})",
                 shards, n
             );
@@ -127,8 +81,8 @@ proptest! {
             // serial-identical, but it is reproducible.
             let again = run_case_mode(n, &plans, shards, ShardMode::Relaxed);
             prop_assert_eq!(
-                fingerprint(&relaxed),
-                fingerprint(&again),
+                format!("{relaxed:?}"),
+                format!("{again:?}"),
                 "relaxed run not reproducible at {} shards", shards
             );
         }
@@ -167,8 +121,8 @@ fn relaxed_survives_the_same_time_incast_storm() {
     for shards in [2usize, 3, 4, 8, 12] {
         let relaxed = run_case_mode(n, &plans, shards, ShardMode::Relaxed);
         assert_eq!(
-            stable_fingerprint(&serial),
-            stable_fingerprint(&relaxed),
+            delivery_fingerprint(&serial),
+            delivery_fingerprint(&relaxed),
             "storm counts diverged at {shards} shards"
         );
         assert_end_time_close(
@@ -206,8 +160,8 @@ fn relaxed_handles_loopback_workloads() {
     let serial = run_case_mode(n, &plans, 1, ShardMode::Exact);
     let relaxed = run_case_mode(n, &plans, 4, ShardMode::Relaxed);
     assert_eq!(
-        stable_fingerprint(&serial),
-        stable_fingerprint(&relaxed),
+        delivery_fingerprint(&serial),
+        delivery_fingerprint(&relaxed),
         "loopback counts diverged"
     );
     assert_end_time_close(serial.end_time, relaxed.end_time, "loopback at 4 shards");
