@@ -109,7 +109,6 @@ impl World {
                             ch.header.source_id,
                             ch.pt,
                             ch.src_msg_id,
-                            &mut nic.recovery,
                         );
                     }
                 }

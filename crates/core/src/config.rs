@@ -93,13 +93,6 @@ pub struct RecoveryConfig {
     /// `NicStats::recovery_abandoned`). Bounds the retry loop so a target
     /// that never re-enables cannot keep the simulation alive forever.
     pub max_probes: u32,
-    /// Adaptive probing: the receiver remembers every initiator it NACKed
-    /// while a PT was disabled and sends each a `PtReenabled` notification
-    /// when the entry re-enables; the notified sender probes immediately.
-    /// Recovering senders then back off to `max_backoff` straight away
-    /// (the timer is only a fallback), replacing blind exponential probing
-    /// — fewer wasted probes at the same delivered-message count.
-    pub notify_reenable: bool,
 }
 
 impl Default for RecoveryConfig {
@@ -110,7 +103,6 @@ impl Default for RecoveryConfig {
             drain_interval: Time::from_ns(200),
             reenable_guard: Time::from_us(2),
             max_probes: 64,
-            notify_reenable: false,
         }
     }
 }

@@ -517,10 +517,6 @@ impl<'a> HostApi<'a> {
                 format!("pt{pt} disabled")
             });
         }
-        // Adaptive probing: a manual re-enable notifies NACKed initiators
-        // exactly like the NIC's automatic drain-and-re-enable.
-        let (node, cursor) = (self.node, self.cursor);
-        self.world.notify_reenabled(self.q, cursor, node, pt);
     }
 
     /// Copy `len` bytes within host memory, charging CPU + memory bandwidth

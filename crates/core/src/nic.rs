@@ -178,9 +178,6 @@ pub struct NicStats {
     pub pt_reenables: u64,
     /// Aggregate time (ns) PTs spent disabled before automatic re-enable.
     pub pt_disabled_ns: f64,
-    /// `PtReenabled` notifications sent to NACKed initiators (adaptive
-    /// probing, `RecoveryConfig::notify_reenable`).
-    pub reenable_notifies_sent: u64,
     /// Packets dropped because a scheduled fault (dead link, failed
     /// switch, crashed peer, lossy degradation) killed them in the fabric.
     /// Subset of `packets_dropped`, attributed to the fault subsystem.

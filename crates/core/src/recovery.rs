@@ -172,11 +172,6 @@ pub struct RecoveryManager {
     abandoned_by_peer: HashMap<u32, u64>,
     /// Receiver-side: PTs awaiting drain, with the time they disabled.
     drain: HashMap<u32, Time>,
-    /// Receiver-side adaptive probing: per disabled PT, the initiators
-    /// NACKed during the episode (ascending, deduplicated), to be sent a
-    /// `PtReenabled` notification when the entry re-enables. Populated
-    /// only when `notify_reenable` is set.
-    reenable_subscribers: HashMap<u32, Vec<u32>>,
 }
 
 impl RecoveryManager {
@@ -191,34 +186,20 @@ impl RecoveryManager {
             recovery_latency: Time::ZERO,
             abandoned_by_peer: HashMap::new(),
             drain: HashMap::new(),
-            reenable_subscribers: HashMap::new(),
         }
     }
 
     /// Tear down the volatile recovery state on a node crash
     /// ([`FaultKind::NodeCrash`](crate::fault::FaultKind)): in-flight
-    /// tracking, per-peer episodes, drain polls, and re-enable
-    /// subscriptions die with the NIC, but the *accounting* — recovered
-    /// messages, recovery latency, per-peer abandonments — survives into
-    /// the report like every other `NicStats` counter.
+    /// tracking, per-peer episodes, and drain polls die with the NIC, but
+    /// the *accounting* — recovered messages, recovery latency, per-peer
+    /// abandonments — survives into the report like every other `NicStats`
+    /// counter.
     pub fn crash_reset(&mut self) {
         self.inflight.clear();
         self.peers.clear();
         self.nacked_at.clear();
         self.drain.clear();
-        self.reenable_subscribers.clear();
-    }
-
-    /// The backoff a fresh episode starts with. With adaptive probing the
-    /// receiver's `PtReenabled` notification is the primary wake signal,
-    /// so the timer is a pure fallback and starts at the cap — no blind
-    /// exponential probing.
-    fn episode_backoff(cfg: &RecoveryConfig) -> Time {
-        if cfg.notify_reenable {
-            cfg.max_backoff
-        } else {
-            cfg.backoff
-        }
     }
 
     /// Whether the subsystem is active.
@@ -317,7 +298,7 @@ impl RecoveryManager {
         let p = self
             .peers
             .entry((peer, pt))
-            .or_insert_with(|| PeerPt::new(Self::episode_backoff(&cfg)));
+            .or_insert_with(|| PeerPt::new(cfg.backoff));
         insert_sorted(&mut p.queue, msg_id);
         match p.state {
             PeerState::Idle => {
@@ -350,7 +331,7 @@ impl RecoveryManager {
                     *self.abandoned_by_peer.entry(peer).or_default() += dropped.len() as u64;
                     let p = self.peers.get_mut(&(peer, pt)).expect("entry exists");
                     p.state = PeerState::Idle;
-                    p.backoff = Self::episode_backoff(&cfg);
+                    p.backoff = cfg.backoff;
                     p.failed_probes = 0;
                     return NackStep::Abandon(dropped);
                 }
@@ -401,7 +382,7 @@ impl RecoveryManager {
         };
         if p.state == PeerState::Probing && p.probe == msg_id {
             p.state = PeerState::Idle;
-            p.backoff = Self::episode_backoff(&cfg); // the target recovered: reset
+            p.backoff = cfg.backoff; // the target recovered: reset
             p.failed_probes = 0;
             return AckStep::Replay(std::mem::take(&mut p.queue));
         }
@@ -450,21 +431,6 @@ impl RecoveryManager {
     pub fn next_drain_check(&self, now: Time) -> Time {
         now + self.config.map(|c| c.drain_interval).unwrap_or(Time::ZERO)
     }
-
-    /// A `PtDisabled` NACK for local PT `pt` is about to go out to
-    /// `initiator`: with adaptive probing on, subscribe the initiator to
-    /// the entry's re-enable notification.
-    pub fn note_nack_sent(&mut self, pt: u32, initiator: u32) {
-        if self.config.is_some_and(|c| c.notify_reenable) {
-            insert_sorted(self.reenable_subscribers.entry(pt).or_default(), initiator);
-        }
-    }
-
-    /// Drain the initiators awaiting `pt`'s re-enable notification
-    /// (ascending — notification order is deterministic).
-    pub fn take_reenable_subscribers(&mut self, pt: u32) -> Vec<u32> {
-        self.reenable_subscribers.remove(&pt).unwrap_or_default()
-    }
 }
 
 fn insert_sorted<T: Ord>(queue: &mut Vec<T>, id: T) {
@@ -477,19 +443,8 @@ fn insert_sorted<T: Ord>(queue: &mut Vec<T>, id: T) {
 /// Post a `PtDisabled` NACK from node `n` back to `to` for message
 /// `msg_id` that bounced off portal table entry `pt`. The NACK is an
 /// ordinary zero-payload ack packet, so it pays the normal send-path and
-/// network costs. `recovery` is node `n`'s own manager: with adaptive
-/// probing the NACKed initiator is subscribed to the PT's re-enable
-/// notification.
-pub(crate) fn post_nack(
-    q: &mut EventQueue<Ev>,
-    at: Time,
-    n: u32,
-    to: u32,
-    pt: u32,
-    msg_id: u64,
-    recovery: &mut RecoveryManager,
-) {
-    recovery.note_nack_sent(pt, to);
+/// network costs.
+pub(crate) fn post_nack(q: &mut EventQueue<Ev>, at: Time, n: u32, to: u32, pt: u32, msg_id: u64) {
     let msg = OutMsg {
         src: n,
         dst: to,
@@ -580,59 +535,6 @@ impl World {
         }
     }
 
-    /// Receiver-driven adaptive probing: after re-enabling `pt` on node
-    /// `n`, notify every initiator NACKed during the episode that the
-    /// entry is open, so recovering senders probe immediately instead of
-    /// discovering the re-enable by blind timer-driven probing. Each
-    /// notification is an ordinary zero-payload ack-class message paying
-    /// full send-path and network costs. A no-op unless
-    /// `RecoveryConfig::notify_reenable` subscribed initiators.
-    pub(crate) fn notify_reenabled(&mut self, q: &mut EventQueue<Ev>, at: Time, n: u32, pt: u32) {
-        let peers = self.nodes[n as usize]
-            .nic
-            .recovery
-            .take_reenable_subscribers(pt);
-        for peer in peers {
-            self.nodes[n as usize].nic.stats.reenable_notifies_sent += 1;
-            let msg = OutMsg {
-                src: n,
-                dst: peer,
-                op: OpKind::Ack,
-                pt,
-                match_bits: 0,
-                remote_offset: 0,
-                hdr_data: 0,
-                user_hdr: Default::default(),
-                payload: PayloadSpec::Inline(bytes::Bytes::new()),
-                ack: AckReq::None,
-                ack_type: PtlAckType::PtReenabled,
-                reply_dest: 0,
-                notify: Notify::None,
-                msg_id: 0,
-                attempt: 0,
-                answers: 0,
-                resume_from: 0,
-            };
-            q.post_at(at, Ev::NicInject(n, Box::new(msg)));
-        }
-    }
-
-    /// A `PtReenabled` notification from `peer` arrived: probe the pair
-    /// immediately instead of waiting out the fallback backoff timer.
-    /// Rides the timer path, which only acts in `Backoff` state — a late
-    /// or duplicate notification (or one racing the fallback timer) is a
-    /// no-op, and the stale timer itself is ignored the same way.
-    pub(crate) fn on_reenable_notify(
-        &mut self,
-        q: &mut EventQueue<Ev>,
-        now: Time,
-        n: u32,
-        peer: u32,
-        pt: u32,
-    ) {
-        self.on_recovery_timer(q, now, n, peer, pt);
-    }
-
     /// The sender-side backoff timer fired: retransmit the probe.
     pub(crate) fn on_recovery_timer(
         &mut self,
@@ -710,7 +612,6 @@ impl World {
         self.gantt.record(n, "PT", disabled_at, now, 'x', || {
             format!("pt{pt} disabled")
         });
-        self.notify_reenabled(q, now, n, pt);
     }
 }
 
@@ -726,7 +627,6 @@ mod tests {
             drain_interval: Time::from_ns(200),
             reenable_guard: Time::from_us(5),
             max_probes: 64,
-            notify_reenable: false,
         }
     }
 
@@ -1000,42 +900,6 @@ mod tests {
         assert_eq!(q.pending(), 0, "ghost replay reached the wire");
         assert_eq!(world.network.packets_sent(), 0);
         assert!(world.nodes[0].nic.pending_sends.is_empty());
-    }
-
-    #[test]
-    fn adaptive_probing_starts_at_the_fallback_backoff() {
-        // With notify_reenable the receiver's notification is the primary
-        // wake signal; the timer is a fallback at max_backoff, so there is
-        // no blind exponential probing in between.
-        let mut m = RecoveryManager::new(Some(RecoveryConfig {
-            notify_reenable: true,
-            ..cfg()
-        }));
-        m.on_send(&put(1, 9, 0));
-        let t = Time::from_us(10);
-        assert_eq!(
-            m.on_nack(t, 1, 9, 0),
-            NackStep::Backoff(t + Time::from_us(4))
-        );
-    }
-
-    #[test]
-    fn reenable_subscribers_collect_sorted_and_drain_once() {
-        let mut m = RecoveryManager::new(Some(RecoveryConfig {
-            notify_reenable: true,
-            ..cfg()
-        }));
-        m.note_nack_sent(3, 7);
-        m.note_nack_sent(3, 2);
-        m.note_nack_sent(3, 7); // duplicate NACK to the same initiator
-        m.note_nack_sent(5, 1); // different PT
-        assert_eq!(m.take_reenable_subscribers(3), vec![2, 7]);
-        assert_eq!(m.take_reenable_subscribers(3), Vec::<u32>::new());
-        assert_eq!(m.take_reenable_subscribers(5), vec![1]);
-        // Without the flag nothing is recorded — zero-cost default.
-        let mut off = RecoveryManager::new(Some(cfg()));
-        off.note_nack_sent(3, 7);
-        assert_eq!(off.take_reenable_subscribers(3), Vec::<u32>::new());
     }
 
     #[test]

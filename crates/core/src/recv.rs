@@ -52,13 +52,6 @@ impl World {
             );
             return;
         }
-        if pkt.header.ack_type == PtlAckType::PtReenabled {
-            // Adaptive probing: the target's PT re-enabled — probe the
-            // recovering pair now instead of waiting out the fallback
-            // backoff timer.
-            self.on_reenable_notify(q, now, n, pkt.header.source_id, pkt.header.pt_index);
-            return;
-        }
         // Transport-level delivery confirmation: retire in-flight recovery
         // state; an acked probe releases the in-order replay of the queue.
         // Replays inject at `now`: the pair is Idle from this instant, so
@@ -154,7 +147,6 @@ impl World {
                         hdr.source_id,
                         hdr.pt_index,
                         pkt.msg_id,
-                        &mut nic.recovery,
                     );
                 }
                 if let Some(at) = nic.recovery.note_pt_disabled(match_done, hdr.pt_index) {
@@ -178,7 +170,6 @@ impl World {
                         hdr.source_id,
                         hdr.pt_index,
                         pkt.msg_id,
-                        &mut nic.recovery,
                     );
                 }
             }
@@ -283,7 +274,6 @@ impl World {
                             hdr.source_id,
                             hdr.pt_index,
                             msg_id,
-                            ctx.recovery,
                         );
                     }
                     let ev =
@@ -304,7 +294,6 @@ impl World {
                             hdr.source_id,
                             hdr.pt_index,
                             msg_id,
-                            ctx.recovery,
                         );
                     }
                     return;
@@ -425,7 +414,6 @@ impl World {
                         hdr.source_id,
                         hdr.pt_index,
                         msg_id,
-                        ctx.recovery,
                     );
                 }
                 let ev = FullEvent::simple(EventKind::PtDisabled, hdr.source_id, hdr.match_bits, 0);

@@ -36,12 +36,18 @@
 //! contention at a consumer resolves in packet-head order rather than in
 //! global send-dispatch order, so same-instant incast can resolve
 //! differently and end-to-end times can shift by sub-occupancy amounts.
-//! Delivery counts, per-node statistics, memory contents, and mark labels
-//! are preserved; `tests/shard_relaxed.rs` pins the contract
-//! differentially against the serial reference. Runs are still
-//! deterministic for a fixed `(world, k)` — exchanges are serial and
-//! mailbox merges are keyed `(head, producer, counter)` — they are just
-//! not bit-identical to serial.
+//! The count-stable view (`delivery_digest`: event count, fabric totals,
+//! marks, values and integer per-node statistics) equals serial's only
+//! where that order decides nothing: runs with no flow-control event, no
+//! recovery, no fault and no value derived from simulated time. Outside
+//! that scope a tie can flip an outcome — a put that reaches a target
+//! before the target's `me_append` takes effect disables the portal table
+//! entry — and recovery counters and time-derived values move with it.
+//! `tests/shard_relaxed.rs` pins the contract on random traffic and
+//! `crates/scenario/tests/corpus.rs` on every corpus file in scope. Runs
+//! are still deterministic for a fixed `(world, k)` — exchanges are serial
+//! and mailbox merges are keyed `(head, producer, counter)` — they are
+//! just not bit-identical to serial.
 
 use crate::shard::{shard_of, shard_ranges};
 use crate::world::{Ev, Node, NodeStats, Report, SimBuilder, SimOutput, WirePolicy, World};

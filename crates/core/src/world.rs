@@ -362,7 +362,6 @@ impl World {
                 pkt.header.source_id,
                 pkt.header.pt_index,
                 pkt.msg_id,
-                &mut nic.recovery,
             );
         }
     }
@@ -444,9 +443,10 @@ pub enum ShardMode {
     Exact,
     /// The pairwise-horizon engine: per-shard-pair mailboxes and
     /// Chandy–Misra null-message horizons instead of a global window and a
-    /// serial merge. Trades bit-exactness for statistically-equivalent
-    /// reports (same delivery counts and stable statistics; same-time
-    /// cross-shard tie-breaks may differ) at higher parallelism.
+    /// serial merge. Same-time cross-shard tie-breaks may differ from
+    /// serial, so reports are not bit-identical; [`delivery_digest`]
+    /// equals serial's only on runs with no flow-control event, no
+    /// recovery, no fault and no value derived from simulated time.
     Relaxed,
 }
 

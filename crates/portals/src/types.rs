@@ -67,10 +67,6 @@ pub enum PtlAckType {
     Ok,
     /// The message was dropped: the target PT is disabled (flow control).
     PtDisabled,
-    /// Receiver-driven recovery notification: the PT that NACKed this
-    /// initiator has re-enabled — probe now instead of waiting out the
-    /// backoff timer (adaptive probing, `RecoveryConfig::notify_reenable`).
-    PtReenabled,
 }
 
 /// A user-defined header carried in the first bytes of the payload

@@ -40,6 +40,29 @@ use spin_net::TopologySpec;
 use spin_sim::noise::NoiseModel;
 use spin_sim::time::Time;
 
+/// The largest value any nanosecond field of a scenario may hold: one
+/// simulated hour. Simulated time counts picoseconds in a `u64`, which
+/// holds about 5,124 hours, and `Time::from_ns` multiplies without a check.
+/// Each step the simulator takes from these fields adds a few of them to
+/// the clock (a message's latency, jitter, background draw and degrade
+/// latency; a fault's `at_ns`; a sender's next interval), so no field and
+/// no single step can overflow `Time`. Thousands of hour-long steps in a
+/// row still can: bounding a count times a delay is left to the workload
+/// size checks.
+const MAX_NS: u64 = 3_600 * 1_000_000_000;
+
+/// Translate nanosecond field `field` of scenario `name` to simulated time,
+/// or fail naming the field and the value when it exceeds [`MAX_NS`].
+fn ns_field(name: &str, field: std::fmt::Arguments<'_>, ns: u64) -> Result<Time, Error> {
+    if ns > MAX_NS {
+        return Err(Error::msg(format!(
+            "scenario {name:?}: {field} = {ns} exceeds {MAX_NS}, the bound on \
+             nanosecond fields (one simulated hour)"
+        )));
+    }
+    Ok(Time::from_ns(ns))
+}
+
 /// Scenario-level error: parse, validation, or expectation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
@@ -245,8 +268,10 @@ pub struct Fault {
 }
 
 impl Fault {
-    /// The engine-level fault event.
-    fn event(&self) -> FaultEvent {
+    /// The engine-level fault event for entry `i` of scenario `name`'s
+    /// schedule; fails on a nanosecond field past [`MAX_NS`].
+    fn event(&self, name: &str, i: usize) -> Result<FaultEvent, Error> {
+        let ns = |field: &str, ns| ns_field(name, format_args!("faults[{i}].{field}"), ns);
         let kind = match self.action {
             FaultActionConfig::LinkDown { node } => FaultKind::LinkDown { node },
             FaultActionConfig::LinkUp { node } => FaultKind::LinkUp { node },
@@ -262,15 +287,15 @@ impl Fault {
             } => FaultKind::Degrade {
                 src,
                 dst,
-                extra_latency: Time::from_ns(extra_latency_ns),
+                extra_latency: ns("action.Degrade.extra_latency_ns", extra_latency_ns)?,
                 loss,
             },
             FaultActionConfig::Restore { src, dst } => FaultKind::Restore { src, dst },
         };
-        FaultEvent {
-            at: Time::from_ns(self.at_ns),
+        Ok(FaultEvent {
+            at: ns("at_ns", self.at_ns)?,
             kind,
-        }
+        })
     }
 }
 
@@ -540,14 +565,16 @@ impl ScenarioCompiler {
                     }
                 }
             }
+            let ns =
+                |field: &str, ns| ns_field(&s.name, format_args!("impairments[{i}].{field}"), ns);
             rules.push(ImpairmentRule {
                 src: imp.src,
                 dst: imp.dst,
                 effect: LinkImpairment {
-                    latency: Time::from_ns(imp.latency_ns),
-                    jitter: Time::from_ns(imp.jitter_ns),
+                    latency: ns("latency_ns", imp.latency_ns)?,
+                    jitter: ns("jitter_ns", imp.jitter_ns)?,
                     loss: imp.loss,
-                    background: Time::from_ns(imp.background_ns),
+                    background: ns("background_ns", imp.background_ns)?,
                 },
             });
         }
@@ -562,7 +589,9 @@ impl ScenarioCompiler {
     fn fault_plan(&self) -> Result<FaultPlan, Error> {
         let s = &self.scenario;
         let plan = FaultPlan {
-            events: s.faults.iter().map(Fault::event).collect(),
+            events: (s.faults.iter().enumerate())
+                .map(|(i, f)| f.event(&s.name, i))
+                .collect::<Result<_, _>>()?,
         };
         if plan.drop_capable() && !s.machine.recovery {
             return Err(Error::msg(format!(
@@ -620,6 +649,16 @@ impl ScenarioCompiler {
             "scenario {:?}: workload.KvInserts.slots = {slots} {why}",
             self.scenario.name
         )))
+    }
+
+    /// `Saturate`'s injection interval and service time as simulated time.
+    fn saturate_times(&self, interval_ns: u64, service_ns: u64) -> Result<(Time, Time), Error> {
+        let name = &self.scenario.name;
+        let ns = |field: &str, ns| ns_field(name, format_args!("workload.Saturate.{field}"), ns);
+        Ok((
+            ns("interval_ns", interval_ns)?,
+            ns("service_ns", service_ns)?,
+        ))
     }
 
     /// Compile to a ready-to-run builder.
@@ -715,12 +754,13 @@ impl ScenarioCompiler {
                 mode,
             } => {
                 fixed_root("saturation")?;
+                let (interval, service) = self.saturate_times(*interval_ns, *service_ns)?;
                 let params = spin_apps::saturate::SaturateParams {
                     senders: n - 1,
                     messages: *messages,
                     bytes: *bytes,
-                    interval: Time::from_ns(*interval_ns),
-                    service: Time::from_ns(*service_ns),
+                    interval,
+                    service,
                 };
                 let mode = match mode {
                     TransportConfig::Rdma => spin_apps::saturate::SaturateMode::Rdma,
@@ -1037,6 +1077,26 @@ mod tests {
         }
     }
 
+    /// Run `s` under `catch_unwind`: it must never panic, and must either
+    /// run (`want` is `None`) or fail with exactly `want` after the
+    /// scenario-name prefix.
+    fn assert_runs_or_fails_naming(what: &str, s: Scenario, want: Option<&str>) {
+        let name = s.name.clone();
+        let run = std::panic::catch_unwind(|| {
+            ScenarioCompiler::new(s)
+                .run(1)
+                .map(|out| out.report.events_executed)
+        })
+        .unwrap_or_else(|_| panic!("{what} panicked"));
+        match (run, want) {
+            (Ok(events), None) => assert!(events > 0, "{what} ran no events"),
+            (Err(e), Some(want)) => {
+                assert_eq!(e.message(), format!("scenario {name:?}: {want}"), "{what}")
+            }
+            (run, _) => panic!("{what}: {run:?}"),
+        }
+    }
+
     #[test]
     fn host_memory_sizing_is_a_run_or_a_named_error_never_a_panic() {
         const INCAST: &str = r#"{"Incast": {"rounds": 1}}"#;
@@ -1101,19 +1161,86 @@ mod tests {
                     "workload": {workload}}}"#
             ))
             .unwrap();
-            let run = std::panic::catch_unwind(|| {
-                ScenarioCompiler::new(s)
-                    .run(1)
-                    .map(|out| out.report.events_executed)
-            })
-            .unwrap_or_else(|_| panic!("{what} panicked"));
-            match (run, want) {
-                (Ok(events), None) => assert!(events > 0, "{what} ran no events"),
-                (Err(e), Some(want)) => {
-                    assert_eq!(e.message(), format!(r#"scenario "mem": {want}"#), "{what}")
-                }
-                (run, _) => panic!("{what}: {run:?}"),
-            }
+            assert_runs_or_fails_naming(what, s, want);
+        }
+    }
+
+    #[test]
+    fn nanosecond_fields_are_a_run_or_a_named_error_never_a_panic() {
+        let (max, over, top) = (MAX_NS, MAX_NS + 1, u64::MAX);
+        // Each builder returns (workload, extra top-level keys).
+        let gather = r#"{"Gather": {"put_bytes": 2048, "ring_bytes": 128, "stride": 1}}"#;
+        let imp = |rules: String| (gather.to_owned(), format!(r#", "impairments": [{rules}]"#));
+        let degrade = |at: u64, extra: u64| {
+            let rule = |at, dst, extra| {
+                format!(
+                    r#"{{"at_ns": {at}, "action": {{"Degrade": {{"dst": {dst}, "extra_latency_ns": {extra}}}}}}}"#
+                )
+            };
+            let faults = format!("{}, {}", rule(0, 1, 0), rule(at, 0, extra));
+            (gather.to_owned(), format!(r#", "faults": [{faults}]"#))
+        };
+        let saturate = |interval: u64, service: u64| {
+            let workload = format!(
+                r#"{{"Saturate": {{"messages": 4, "bytes": 8192, "interval_ns": {interval},
+                    "service_ns": {service}, "mode": "Spin"}}}}"#
+            );
+            (workload, String::new())
+        };
+        // (scenario parts, None for a clean run or Some(field path, value)).
+        let cases = [
+            (
+                imp(format!(
+                    r#"{{"latency_ns": {max}, "jitter_ns": {max}, "background_ns": {max}}}"#
+                )),
+                None,
+            ),
+            (
+                imp(format!(r#"{{"latency_ns": {over}}}"#)),
+                Some(("impairments[0].latency_ns", over)),
+            ),
+            (
+                imp(format!(r#"{{"latency_ns": {top}}}"#)),
+                Some(("impairments[0].latency_ns", top)),
+            ),
+            (
+                imp(format!(r#"{{"dst": 1}}, {{"jitter_ns": {top}}}"#)),
+                Some(("impairments[1].jitter_ns", top)),
+            ),
+            (
+                imp(format!(r#"{{"background_ns": {top}}}"#)),
+                Some(("impairments[0].background_ns", top)),
+            ),
+            (degrade(max, max), None),
+            (degrade(top, 0), Some(("faults[1].at_ns", top))),
+            (
+                degrade(0, top),
+                Some(("faults[1].action.Degrade.extra_latency_ns", top)),
+            ),
+            (saturate(max, 2000), None),
+            (
+                saturate(top, 2000),
+                Some(("workload.Saturate.interval_ns", top)),
+            ),
+            (
+                saturate(2000, top),
+                Some(("workload.Saturate.service_ns", top)),
+            ),
+        ];
+        for ((workload, extra), want) in cases {
+            let what = format!("{workload}{extra}");
+            let s = Scenario::from_json(&format!(
+                r#"{{"name": "ns", "topology": {{"FatTree": {{"nodes": 4, "ports": 4}}}},
+                    "machine": {{"recovery": true}}, "workload": {workload}{extra}}}"#
+            ))
+            .unwrap();
+            let want = want.map(|(field, value)| {
+                format!(
+                    "{field} = {value} exceeds {MAX_NS}, the bound on nanosecond fields \
+                     (one simulated hour)"
+                )
+            });
+            assert_runs_or_fails_naming(&what, s, want.as_deref());
         }
     }
 

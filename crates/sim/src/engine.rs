@@ -10,30 +10,43 @@
 //! the crate that owns the world — `spin-core` — can match on its own event
 //! enum without this crate knowing anything about NICs or hosts.
 //!
-//! Pending events live in a [`PendingQueue`] store, a type parameter of
-//! [`EventQueue`] and [`Engine`] that defaults to the [`CalendarQueue`]
-//! (O(1) amortized post/pop, see `calendar.rs`). [`HeapQueue`]
-//! (`BinaryHeap`, O(log n)) is the reference store: it yields the exact
-//! same `(time, seq)` dispatch order, and `tests/queue_equivalence.rs`
-//! proves it differentially by driving the same engine over both.
+//! Pending events live in the standard-library `BinaryHeap` (O(log n)
+//! post/pop), ordered by one packed `u128` key, `(time_ps << 64) | seq`.
+//! Both halves are `u64`, so key order is exactly `(time, seq)` order and
+//! each heap comparison is a single compare.
 
-use crate::calendar::CalendarQueue;
 use crate::time::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::marker::PhantomData;
 
 /// An event scheduled for a particular simulated time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Scheduled<E> {
-    time: Time,
-    seq: u64,
+    /// `(time_ps << 64) | seq`: ascending key order is `(time, seq)` order.
+    key: u128,
     event: E,
+}
+
+impl<E> Scheduled<E> {
+    fn new(time: Time, seq: u64, event: E) -> Self {
+        Scheduled {
+            key: (u128::from(time.ps()) << 64) | u128::from(seq),
+            event,
+        }
+    }
+
+    fn time(&self) -> Time {
+        Time::from_ps((self.key >> 64) as u64)
+    }
+
+    fn seq(&self) -> u64 {
+        self.key as u64
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -44,119 +57,40 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        other.key.cmp(&self.key)
     }
 }
 
-/// The storage strategy behind an [`EventQueue`]: any structure that can
-/// hold `(time, seq, event)` triples and yield them in ascending
-/// `(time, seq)` order. The engine owns the clock, the sequence counter,
-/// and every invariant check; backends only order.
-///
-/// Two implementations exist: [`CalendarQueue`] (the default — O(1)
-/// amortized for the simulator's mostly-bounded time horizon) and
-/// [`HeapQueue`] (the original `BinaryHeap`, kept as the reference
-/// implementation the tests differentially check the calendar against).
-pub trait PendingQueue<E> {
-    /// Store one event. `seq` is unique and ascending across all pushes.
-    fn push(&mut self, time: Time, seq: u64, event: E);
-    /// Remove and return the earliest `(time, seq)` event.
-    fn pop(&mut self) -> Option<(Time, u64, E)>;
-    /// The earliest pending time, without removing anything.
-    fn peek_time(&self) -> Option<Time>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Keep only events for which `keep` returns true (tombstoning the
-    /// rest), preserving `(time, seq)` order among survivors.
-    fn retain(&mut self, keep: &mut dyn FnMut(Time, u64, &E) -> bool);
-}
-
-/// The reference store: the standard-library binary heap (O(log n)
-/// push/pop), exactly as the engine used before the calendar queue landed.
-#[derive(Debug)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// An empty heap.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<E> PendingQueue<E> for HeapQueue<E> {
-    fn push(&mut self, time: Time, seq: u64, event: E) {
-        self.heap.push(Scheduled { time, seq, event });
-    }
-
-    fn pop(&mut self) -> Option<(Time, u64, E)> {
-        self.heap.pop().map(|s| (s.time, s.seq, s.event))
-    }
-
-    fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn retain(&mut self, keep: &mut dyn FnMut(Time, u64, &E) -> bool) {
-        self.heap.retain(|s| keep(s.time, s.seq, &s.event));
-    }
-}
-
-/// A time-ordered queue of pending events, stored in `Q`.
+/// A time-ordered queue of pending events.
 ///
 /// This is the part of the engine that event handlers get mutable access to
 /// while an event is being dispatched, so handlers can post follow-up events.
 #[derive(Debug)]
-pub struct EventQueue<E, Q = CalendarQueue<E>> {
-    pending: Q,
+pub struct EventQueue<E> {
+    pending: BinaryHeap<Scheduled<E>>,
     now: Time,
     seq: u64,
     executed: u64,
-    _event: PhantomData<fn(E)>,
 }
 
-impl<E> EventQueue<E> {
-    /// An empty queue at time zero on the calendar store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<E, Q: PendingQueue<E> + Default> Default for EventQueue<E, Q> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            pending: Q::default(),
+            pending: BinaryHeap::new(),
             now: Time::ZERO,
             seq: 0,
             executed: 0,
-            _event: PhantomData,
         }
     }
 }
 
-impl<E, Q: PendingQueue<E>> EventQueue<E, Q> {
+impl<E> EventQueue<E> {
+    /// An empty queue at time zero.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Current simulated time (the timestamp of the event being dispatched,
     /// or of the last dispatched event between dispatches).
     #[inline]
@@ -188,7 +122,7 @@ impl<E, Q: PendingQueue<E>> EventQueue<E, Q> {
             self.now
         );
         self.seq += 1;
-        self.pending.push(at, self.seq, event);
+        self.pending.push(Scheduled::new(at, self.seq, event));
     }
 
     /// Schedule `event` after a `delay` relative to now.
@@ -205,20 +139,21 @@ impl<E, Q: PendingQueue<E>> EventQueue<E, Q> {
     }
 
     /// Remove and return the next `(time, seq)`-ordered event, advancing
-    /// the clock to its timestamp. Public so steppers and differential
-    /// harnesses can single-step a queue outside an [`Engine`] run loop.
+    /// the clock to its timestamp. Public so steppers can single-step a
+    /// queue outside an [`Engine`] run loop.
     pub fn pop_next(&mut self) -> Option<(Time, E)> {
-        let (time, _seq, event) = self.pending.pop()?;
+        let s = self.pending.pop()?;
+        let time = s.time();
         debug_assert!(time >= self.now);
         self.now = time;
         self.executed += 1;
-        Some((time, event))
+        Some((time, s.event))
     }
 
     /// Like [`EventQueue::pop_next`], but leaves the queue untouched (and
     /// the clock where it is) when the earliest event is after `deadline`.
     fn pop_next_before(&mut self, deadline: Time) -> Option<(Time, E)> {
-        match self.pending.peek_time() {
+        match self.peek_time() {
             Some(t) if t <= deadline => self.pop_next(),
             _ => None,
         }
@@ -258,42 +193,47 @@ impl<E, Q: PendingQueue<E>> EventQueue<E, Q> {
     /// sharded engine) is collecting the posts one dispatch produced so it
     /// can sequence them globally itself.
     pub fn drain_posts(&mut self) -> Vec<(Time, E)> {
-        let mut posts = Vec::with_capacity(self.pending.len());
-        while let Some((time, seq, ev)) = self.pending.pop() {
-            posts.push((seq, time, ev));
-        }
-        // `pop` yields (time, seq) order; post order is seq order.
-        posts.sort_by_key(|&(seq, _, _)| seq);
-        posts.into_iter().map(|(_, time, ev)| (time, ev)).collect()
+        let mut posts: Vec<_> = self.pending.drain().collect();
+        posts.sort_unstable_by_key(Scheduled::seq);
+        posts.into_iter().map(|s| (s.time(), s.event)).collect()
     }
 
-    /// Remove (tombstone) every pending event matching `pred`, returning
-    /// how many were cancelled. Survivors keep their `(time, seq)` order.
-    /// Used when a model-level episode is abandoned and its queued
-    /// follow-ups must never dispatch.
+    /// Remove every pending event matching `pred`, returning how many were
+    /// cancelled. Survivors keep their `(time, seq)` order. Used when a
+    /// model-level episode is abandoned and its queued follow-ups must
+    /// never dispatch.
     pub fn cancel_where(&mut self, mut pred: impl FnMut(&E) -> bool) -> usize {
         let before = self.pending.len();
-        self.pending.retain(&mut |_, _, ev| !pred(ev));
+        self.pending.retain(|s| !pred(&s.event));
         before - self.pending.len()
     }
 
     /// The earliest pending timestamp, if any (the clock does not move).
     pub fn peek_time(&self) -> Option<Time> {
-        self.pending.peek_time()
+        self.pending.peek().map(Scheduled::time)
     }
 }
 
 /// The simulation driver: owns the queue and runs it to quiescence.
 #[derive(Debug)]
-pub struct Engine<E, Q = CalendarQueue<E>> {
-    queue: EventQueue<E, Q>,
+pub struct Engine<E> {
+    queue: EventQueue<E>,
     /// Safety valve: abort after this many events (0 = unlimited). Protects
     /// tests against accidental event storms (e.g. a retransmit loop).
     pub max_events: u64,
 }
 
+impl<E> Default for Engine<E> {
+    fn default() -> Self {
+        Engine {
+            queue: EventQueue::new(),
+            max_events: 0,
+        }
+    }
+}
+
 impl<E> Engine<E> {
-    /// A fresh engine with no event limit, on the calendar store.
+    /// A fresh engine with no event limit.
     pub fn new() -> Self {
         Self::default()
     }
@@ -305,20 +245,9 @@ impl<E> Engine<E> {
             ..Self::default()
         }
     }
-}
 
-impl<E, Q: PendingQueue<E> + Default> Default for Engine<E, Q> {
-    fn default() -> Self {
-        Engine {
-            queue: EventQueue::default(),
-            max_events: 0,
-        }
-    }
-}
-
-impl<E, Q: PendingQueue<E>> Engine<E, Q> {
     /// Access the queue (e.g. to seed initial events before running).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<E, Q> {
+    pub fn queue_mut(&mut self) -> &mut EventQueue<E> {
         &mut self.queue
     }
 
@@ -334,7 +263,7 @@ impl<E, Q: PendingQueue<E>> Engine<E, Q> {
 
     /// Run until the queue is empty, dispatching through a closure.
     /// Returns the time of the last executed event.
-    pub fn run_with(&mut self, mut f: impl FnMut(&mut EventQueue<E, Q>, Time, E)) -> Time {
+    pub fn run_with(&mut self, mut f: impl FnMut(&mut EventQueue<E>, Time, E)) -> Time {
         while let Some((now, ev)) = self.queue.pop_next() {
             f(&mut self.queue, now, ev);
             if self.max_events != 0 && self.queue.executed() > self.max_events {
@@ -362,7 +291,7 @@ impl<E, Q: PendingQueue<E>> Engine<E, Q> {
     pub fn run_until(
         &mut self,
         deadline: Time,
-        mut f: impl FnMut(&mut EventQueue<E, Q>, Time, E),
+        mut f: impl FnMut(&mut EventQueue<E>, Time, E),
     ) -> Time {
         while let Some((now, ev)) = self.queue.pop_next_before(deadline) {
             f(&mut self.queue, now, ev);
@@ -382,28 +311,51 @@ impl<E, Q: PendingQueue<E>> Engine<E, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::NS;
+
+    /// The two largest representable times: they fill the key's top 64
+    /// bits, so any overlap between the packed time and seq would show.
+    const TOP: Time = Time::MAX;
+    const BELOW_TOP: Time = Time::from_ps(u64::MAX - 1);
 
     #[test]
     fn events_execute_in_time_order() {
         let mut engine = Engine::new();
-        engine.queue_mut().post_at(Time::from_ns(30), 3u32);
+        engine.queue_mut().post_at(TOP, 5u32);
+        engine.queue_mut().post_at(Time::from_ns(30), 3);
+        engine.queue_mut().post_at(BELOW_TOP, 4);
         engine.queue_mut().post_at(Time::from_ns(10), 1);
         engine.queue_mut().post_at(Time::from_ns(20), 2);
         let mut seen = Vec::new();
-        engine.run_with(|_, now, ev| seen.push((now.ps() / NS, ev)));
-        assert_eq!(seen, vec![(10, 1), (20, 2), (30, 3)]);
+        engine.run_with(|_, now, ev| seen.push((now, ev)));
+        assert_eq!(
+            seen,
+            vec![
+                (Time::from_ns(10), 1),
+                (Time::from_ns(20), 2),
+                (Time::from_ns(30), 3),
+                (BELOW_TOP, 4),
+                (TOP, 5),
+            ]
+        );
     }
 
     #[test]
     fn same_time_events_are_fifo() {
+        // Three instants posted interleaved, latest first: each instant's
+        // events dispatch in post order, including at the top of the range.
         let mut engine = Engine::new();
         for i in 0..100u32 {
-            engine.queue_mut().post_at(Time::from_ns(5), i);
+            for t in [TOP, BELOW_TOP, Time::from_ns(5)] {
+                engine.queue_mut().post_at(t, i);
+            }
         }
         let mut seen = Vec::new();
-        engine.run_with(|_, _, ev| seen.push(ev));
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
+        engine.run_with(|_, now, ev| seen.push((now, ev)));
+        let expected: Vec<_> = [Time::from_ns(5), BELOW_TOP, TOP]
+            .into_iter()
+            .flat_map(|t| (0..100).map(move |i| (t, i)))
+            .collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]
@@ -487,211 +439,102 @@ mod tests {
         });
     }
 
-    // --------------------------------------------------- store edge cases
-    //
-    // Everything above runs on the default store; these pin the engine
-    // contract on *both* stores explicitly, at the seams where a calendar
-    // queue could plausibly diverge from the reference heap: bucket
-    // boundaries, far-future overflow, rotations under run_until, and the
-    // two engine panics. Each check is generic over the store and runs
-    // once per store.
-
-    fn store<Q>() -> &'static str {
-        std::any::type_name::<Q>()
-    }
-
-    #[test]
-    fn default_store_is_the_calendar_queue() {
-        // `new` and `with_limit` exist only on the default store, so naming
-        // it explicitly must type-check.
-        let _: EventQueue<u32, CalendarQueue<u32>> = EventQueue::new();
-        let _: Engine<u32, CalendarQueue<u32>> = Engine::new();
-        let _: Engine<u32, CalendarQueue<u32>> = Engine::with_limit(1);
-    }
-
-    #[test]
-    fn bucket_boundary_ties_dispatch_fifo_on_both_backends() {
-        // Events exactly on multiples of the calendar's initial bucket
-        // width (1024 ps), plus ±1 ps neighbours and same-time bursts:
-        // identical dispatch on both stores.
-        fn run<Q: PendingQueue<u32> + Default>() -> Vec<(u64, u32)> {
-            let mut engine: Engine<u32, Q> = Engine::default();
-            let mut ev = 0u32;
-            for k in (0..20u64).rev() {
-                for dt in [k * 1024, k * 1024 + 1, (k * 1024).saturating_sub(1)] {
-                    for _ in 0..3 {
-                        engine.queue_mut().post_at(Time::from_ps(dt), ev);
-                        ev += 1;
-                    }
-                }
-            }
-            let mut seen = Vec::new();
-            engine.run_with(|_, now, e| seen.push((now.ps(), e)));
-            seen
-        }
-        let cal = run::<CalendarQueue<u32>>();
-        assert_eq!(cal, run::<HeapQueue<u32>>());
-        let mut sorted = cal.clone();
-        sorted.sort_by_key(|&(t, _)| t);
-        assert_eq!(cal, sorted, "time order");
-    }
-
     #[test]
     fn far_future_jump_preserves_clock_and_order() {
-        fn check<Q: PendingQueue<u32> + Default>() {
-            let mut engine: Engine<u32, Q> = Engine::default();
-            engine.queue_mut().post_at(Time::from_ns(1), 1);
-            // ~1 s of simulated dead air: far beyond any calendar horizon.
-            engine.queue_mut().post_at(Time::from_us(1_000_000), 2);
-            let mut seen = Vec::new();
-            let end = engine.run_with(|q, now, ev| {
-                seen.push((now, ev));
-                if ev == 2 {
-                    // Post-jump follow-ups at the jumped-to clock still work.
-                    q.post_in(Time::from_ns(3), 3);
-                }
-            });
-            assert_eq!(
-                seen,
-                vec![
-                    (Time::from_ns(1), 1),
-                    (Time::from_us(1_000_000), 2),
-                    (Time::from_us(1_000_000) + Time::from_ns(3), 3),
-                ],
-                "{}",
-                store::<Q>()
-            );
-            assert_eq!(end, Time::from_us(1_000_000) + Time::from_ns(3));
-        }
-        check::<CalendarQueue<u32>>();
-        check::<HeapQueue<u32>>();
+        let mut engine = Engine::new();
+        engine.queue_mut().post_at(Time::from_ns(1), 1u32);
+        // ~1 s of simulated dead air before the next event.
+        engine.queue_mut().post_at(Time::from_us(1_000_000), 2);
+        let mut seen = Vec::new();
+        let end = engine.run_with(|q, now, ev| {
+            seen.push((now, ev));
+            if ev == 2 {
+                // Post-jump follow-ups at the jumped-to clock still work.
+                q.post_in(Time::from_ns(3), 3);
+            }
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (Time::from_ns(1), 1),
+                (Time::from_us(1_000_000), 2),
+                (Time::from_us(1_000_000) + Time::from_ns(3), 3),
+            ]
+        );
+        assert_eq!(end, Time::from_us(1_000_000) + Time::from_ns(3));
     }
 
     #[test]
     fn run_until_across_rotations_leaves_clock_at_each_deadline() {
-        // Deadlines that land mid-window, on window boundaries, and inside
-        // long empty stretches; posting between calls must stay legal at
-        // exactly the deadline.
-        fn check<Q: PendingQueue<u32> + Default>() {
-            let mut engine: Engine<u32, Q> = Engine::default();
-            for i in 0..50u64 {
-                engine
-                    .queue_mut()
-                    .post_at(Time::from_ps(i * 700 + 3), i as u32);
-            }
-            let mut seen = Vec::new();
-            for deadline_ps in [0u64, 1024, 1025, 9_000, 9_001, 100_000, 200_000] {
-                let end = engine.run_until(Time::from_ps(deadline_ps), |_, _, ev| seen.push(ev));
-                assert_eq!(end, Time::from_ps(deadline_ps), "{}", store::<Q>());
-                assert_eq!(engine.now(), Time::from_ps(deadline_ps));
-                // Scheduling exactly at the deadline is always legal.
-                engine
-                    .queue_mut()
-                    .post_at(Time::from_ps(deadline_ps), 1000 + seen.len() as u32);
-                engine.run_until(Time::from_ps(deadline_ps), |_, _, ev| seen.push(ev));
-            }
-            engine.run_with(|_, _, ev| seen.push(ev));
-            assert_eq!(
-                seen.len(),
-                50 + 7,
-                "{}: every event dispatched once",
-                store::<Q>()
-            );
+        // Deadlines that land between events, on an event's time, and
+        // inside long empty stretches; posting between calls must stay
+        // legal at exactly the deadline.
+        let mut engine = Engine::new();
+        for i in 0..50u64 {
+            engine
+                .queue_mut()
+                .post_at(Time::from_ps(i * 700 + 3), i as u32);
         }
-        check::<CalendarQueue<u32>>();
-        check::<HeapQueue<u32>>();
-    }
-
-    #[test]
-    fn past_scheduling_panics_on_both_backends() {
-        fn check<Q: PendingQueue<u32> + Default>() {
-            let r = std::panic::catch_unwind(|| {
-                let mut engine: Engine<u32, Q> = Engine::default();
-                engine.queue_mut().post_at(Time::from_ns(10), 0);
-                engine.run_with(|q, _, _| q.post_at(Time::from_ns(1), 1));
-            });
-            let msg = *r.expect_err("must panic").downcast::<String>().unwrap();
-            assert!(
-                msg.contains("scheduled in the past"),
-                "{}: {msg}",
-                store::<Q>()
-            );
+        let mut seen = Vec::new();
+        for deadline_ps in [0u64, 1024, 1025, 9_000, 9_001, 100_000, 200_000] {
+            let end = engine.run_until(Time::from_ps(deadline_ps), |_, _, ev| seen.push(ev));
+            assert_eq!(end, Time::from_ps(deadline_ps));
+            assert_eq!(engine.now(), Time::from_ps(deadline_ps));
+            // Scheduling exactly at the deadline is always legal.
+            engine
+                .queue_mut()
+                .post_at(Time::from_ps(deadline_ps), 1000 + seen.len() as u32);
+            engine.run_until(Time::from_ps(deadline_ps), |_, _, ev| seen.push(ev));
         }
-        check::<CalendarQueue<u32>>();
-        check::<HeapQueue<u32>>();
-    }
-
-    #[test]
-    fn event_limit_panics_on_both_backends() {
-        fn check<Q: PendingQueue<u32> + Default>() {
-            let r = std::panic::catch_unwind(|| {
-                let mut engine: Engine<u32, Q> = Engine {
-                    max_events: 100,
-                    ..Engine::default()
-                };
-                engine.queue_mut().post_at(Time::ZERO, 0);
-                engine.run_with(|q, _, ev| q.post_in(Time::from_ns(1), ev));
-            });
-            let msg = *r.expect_err("must panic").downcast::<String>().unwrap();
-            assert!(
-                msg.contains("event limit exceeded"),
-                "{}: {msg}",
-                store::<Q>()
-            );
-        }
-        check::<CalendarQueue<u32>>();
-        check::<HeapQueue<u32>>();
+        engine.run_with(|_, _, ev| seen.push(ev));
+        assert_eq!(seen.len(), 50 + 7, "every event dispatched once");
     }
 
     #[test]
     fn pop_next_single_steps_the_queue() {
-        fn check<Q: PendingQueue<char> + Default>() {
-            let mut q: EventQueue<char, Q> = EventQueue::default();
-            q.post_at(Time::from_ns(2), 'b');
-            q.post_at(Time::from_ns(1), 'a');
-            assert_eq!(q.pop_next(), Some((Time::from_ns(1), 'a')));
-            assert_eq!(q.now(), Time::from_ns(1));
-            assert_eq!(q.executed(), 1);
-            assert_eq!(q.pending(), 1);
-            assert_eq!(q.pop_next(), Some((Time::from_ns(2), 'b')));
-            assert_eq!(q.pop_next(), None);
-        }
-        check::<CalendarQueue<char>>();
-        check::<HeapQueue<char>>();
+        let mut q = EventQueue::new();
+        q.post_at(Time::from_ns(2), 'b');
+        q.post_at(Time::from_ns(1), 'a');
+        // Peeking shows the earliest time without moving the clock.
+        assert_eq!(q.peek_time(), Some(Time::from_ns(1)));
+        assert_eq!(q.now(), Time::ZERO);
+        assert_eq!(q.pending(), 2);
+        assert_eq!(q.pop_next(), Some((Time::from_ns(1), 'a')));
+        assert_eq!(q.now(), Time::from_ns(1));
+        assert_eq!(q.executed(), 1);
+        assert_eq!(q.pending(), 1);
+        assert_eq!(q.peek_time(), Some(Time::from_ns(2)));
+        assert_eq!(q.pop_next(), Some((Time::from_ns(2), 'b')));
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop_next(), None);
     }
 
     #[test]
     fn drain_posts_returns_post_call_order() {
-        fn check<Q: PendingQueue<char> + Default>() {
-            let mut q: EventQueue<char, Q> = EventQueue::default();
-            q.restart_at(Time::from_ns(10));
-            // Post out of time order, including same-time ties.
-            q.post_at(Time::from_ns(30), 'c');
-            q.post_at(Time::from_ns(20), 'a');
-            q.post_at(Time::from_ns(20), 'b');
-            q.post_now('n');
-            let posts = q.drain_posts();
-            assert_eq!(
-                posts,
-                vec![
-                    (Time::from_ns(30), 'c'),
-                    (Time::from_ns(20), 'a'),
-                    (Time::from_ns(20), 'b'),
-                    (Time::from_ns(10), 'n'),
-                ],
-                "{}",
-                store::<Q>()
-            );
-            assert_eq!(q.pending(), 0);
-            assert_eq!(q.executed(), 0, "drain is not dispatch");
-            assert_eq!(q.now(), Time::from_ns(10));
-            // Reusable afterwards.
-            q.restart_at(Time::from_ns(50));
-            q.post_now('x');
-            assert_eq!(q.drain_posts(), vec![(Time::from_ns(50), 'x')]);
-        }
-        check::<CalendarQueue<char>>();
-        check::<HeapQueue<char>>();
+        let mut q = EventQueue::new();
+        q.restart_at(Time::from_ns(10));
+        // Post out of time order, including same-time ties.
+        q.post_at(Time::from_ns(30), 'c');
+        q.post_at(Time::from_ns(20), 'a');
+        q.post_at(Time::from_ns(20), 'b');
+        q.post_now('n');
+        let posts = q.drain_posts();
+        assert_eq!(
+            posts,
+            vec![
+                (Time::from_ns(30), 'c'),
+                (Time::from_ns(20), 'a'),
+                (Time::from_ns(20), 'b'),
+                (Time::from_ns(10), 'n'),
+            ]
+        );
+        assert_eq!(q.pending(), 0);
+        assert_eq!(q.executed(), 0, "drain is not dispatch");
+        assert_eq!(q.now(), Time::from_ns(10));
+        // Reusable afterwards.
+        q.restart_at(Time::from_ns(50));
+        q.post_now('x');
+        assert_eq!(q.drain_posts(), vec![(Time::from_ns(50), 'x')]);
     }
 
     #[test]
@@ -712,24 +555,20 @@ mod tests {
 
     #[test]
     fn cancel_where_tombstones_matching_events() {
-        fn check<Q: PendingQueue<u32> + Default>() {
-            let mut q: EventQueue<u32, Q> = EventQueue::default();
-            for i in 0..10u32 {
-                q.post_at(Time::from_ns(u64::from(i % 4)), i);
-            }
-            let cancelled = q.cancel_where(|e| e % 2 == 1);
-            assert_eq!(cancelled, 5, "{}", store::<Q>());
-            assert_eq!(q.pending(), 5);
-            // Survivors keep (time, seq) order; cancelling nothing is a
-            // no-op returning 0.
-            assert_eq!(q.cancel_where(|_| false), 0);
-            let mut seen = Vec::new();
-            while let Some((_, e)) = q.pop_next() {
-                seen.push(e);
-            }
-            assert_eq!(seen, vec![0, 4, 8, 2, 6], "{}", store::<Q>());
+        let mut q = EventQueue::new();
+        for i in 0..10u32 {
+            q.post_at(Time::from_ns(u64::from(i % 4)), i);
         }
-        check::<CalendarQueue<u32>>();
-        check::<HeapQueue<u32>>();
+        let cancelled = q.cancel_where(|e| e % 2 == 1);
+        assert_eq!(cancelled, 5);
+        assert_eq!(q.pending(), 5);
+        // Survivors keep (time, seq) order; cancelling nothing is a no-op
+        // returning 0.
+        assert_eq!(q.cancel_where(|_| false), 0);
+        let mut seen = Vec::new();
+        while let Some((_, e)) = q.pop_next() {
+            seen.push(e);
+        }
+        assert_eq!(seen, vec![0, 4, 8, 2, 6]);
     }
 }

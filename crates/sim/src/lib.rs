@@ -10,11 +10,11 @@
 //! random-number helpers, and a text Gantt-chart recorder reproducing the
 //! trace diagrams of Appendix C.
 //!
-//! The engine is intentionally minimal: a time-ordered queue of user events
-//! with a stable FIFO tie-break so simulations are bit-reproducible across
-//! runs regardless of hash-map iteration order or platform.
+//! The engine is intentionally minimal: one binary heap of user events,
+//! ordered by a packed `(time, seq)` key whose sequence half is a stable FIFO
+//! tie-break, so simulations are bit-reproducible across runs regardless of
+//! hash-map iteration order or platform.
 
-pub mod calendar;
 pub mod engine;
 pub mod gantt;
 pub mod littles_law;
@@ -26,8 +26,7 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
-pub use engine::{Engine, EventQueue, HeapQueue, PendingQueue};
+pub use engine::{Engine, EventQueue};
 pub use mailbox::Mailbox;
 pub use time::{Time, GIGA, KIB, MIB, NS, PS, US};
 

@@ -43,59 +43,6 @@ fn recovery_unblocks_a_stalled_saturation_run() {
 }
 
 #[test]
-fn adaptive_probing_delivers_everything_with_fewer_probes() {
-    // Satellite: receiver-driven re-enable notification. With
-    // `notify_reenable` the receiver remembers who it NACKed and tells them
-    // the moment the PT re-enables, so senders stop blind exponential
-    // probing (the backoff timer degrades to a fallback at `max_backoff`).
-    // Same delivery guarantee, strictly fewer probes.
-    let p = SaturateParams {
-        senders: 3,
-        messages: 8,
-        bytes: 8192,
-        interval: Time::from_us(1),
-        service: Time::from_us(2),
-    };
-    let probes = |out: &spin_core::world::SimOutput| -> u64 {
-        out.report
-            .node_stats
-            .iter()
-            .map(|s| s.recovery_probes)
-            .sum()
-    };
-
-    let blind = saturate::run(
-        MachineConfig::integrated().with_recovery(),
-        SaturateMode::Spin,
-        p,
-    );
-    let blind_outcome = saturate::outcome(&blind.report, p);
-    assert_eq!(blind_outcome.completed, blind_outcome.sent);
-    assert!(probes(&blind) > 0, "baseline never probed");
-
-    let mut cfg = MachineConfig::integrated().with_recovery();
-    cfg.recovery.as_mut().unwrap().notify_reenable = true;
-    let notified = saturate::run(cfg, SaturateMode::Spin, p);
-    let notified_outcome = saturate::outcome(&notified.report, p);
-
-    // Equal delivered messages: exactly-once, in-order, nothing lost.
-    assert_eq!(notified_outcome.completed, notified_outcome.sent);
-    assert_eq!(notified_outcome.completed, blind_outcome.completed);
-    assert_eq!(notified_outcome.duplicates, 0);
-    assert!(notified_outcome.in_order);
-
-    // The notifications actually flowed and replaced blind probing.
-    let reenable_notifies = notified.world.nodes[0].nic.stats.reenable_notifies_sent;
-    assert!(reenable_notifies > 0, "receiver never notified anyone");
-    assert!(
-        probes(&notified) < probes(&blind),
-        "adaptive probing sent {} probes, blind baseline {}",
-        probes(&notified),
-        probes(&blind),
-    );
-}
-
-#[test]
 fn recovery_counters_flow_into_the_report() {
     let p = SaturateParams {
         senders: 3,
