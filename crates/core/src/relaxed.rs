@@ -47,11 +47,12 @@
 //! `crates/scenario/tests/corpus.rs` on every corpus file in scope. Runs
 //! are still deterministic for a fixed `(world, k)` — exchanges are serial
 //! and mailbox merges are keyed `(head, producer, counter)` — they are
-//! just not bit-identical to serial.
+//! just not bit-identical to serial. A round's shards run on scoped
+//! threads, at most one per core (`crate::shard::for_each_shard`), and
+//! which thread runs a shard changes nothing.
 
-use crate::shard::{shard_of, shard_ranges};
+use crate::shard::{cores, for_each_shard, shard_of, shard_ranges};
 use crate::world::{Ev, Node, NodeStats, Report, SimBuilder, SimOutput, WirePolicy, World};
-use rayon::prelude::*;
 use spin_portals::types::Packet;
 use spin_sim::engine::EventQueue;
 use spin_sim::gantt::Gantt;
@@ -216,6 +217,7 @@ pub(crate) fn run_relaxed(builder: SimBuilder, k: usize) -> SimOutput {
         }
     }
 
+    let threads = cores();
     let mut executed_before: u64 = 0;
     loop {
         // Exchange, part 1 — deliver: move every parked cross-span packet
@@ -287,7 +289,7 @@ pub(crate) fn run_relaxed(builder: SimBuilder, k: usize) -> SimOutput {
 
         // Parallel phase: every shard drains its mailboxes and executes up
         // to its own safe bound — no global window, no coordinator.
-        shards.par_iter_mut().for_each(RShard::run_round);
+        for_each_shard(&mut shards, threads, RShard::run_round);
 
         let executed_now: u64 = shards.iter().map(|s| s.queue.executed()).sum();
         assert!(

@@ -33,9 +33,12 @@
 //! in the same global order, with the same tie-breaks — so reports, marks,
 //! clocks, and memory contents are byte-identical at any shard count,
 //! including `k = 1` (which short-circuits to the serial engine).
+//!
+//! The shards of a window run on `std::thread::scope` threads, at most one
+//! per core ([`for_each_shard`]); which thread runs a shard changes no
+//! result.
 
 use crate::world::{Ev, Node, NodeStats, Report, SimBuilder, SimOutput, WirePolicy, World};
-use rayon::prelude::*;
 use spin_sim::engine::EventQueue;
 use spin_sim::gantt::Gantt;
 use spin_sim::shard::ShardQueue;
@@ -157,6 +160,28 @@ pub(crate) fn shard_ranges(n: u32, k: usize) -> Vec<(u32, u32)> {
     ranges
 }
 
+/// Threads a sharded run spreads its shards over: one per core. A run
+/// reads it once, not per window.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Run `f` on every shard, spread over at most `threads` threads: the
+/// shards split into contiguous chunks, every chunk but the first runs on a
+/// scoped thread of its own, and the first on the calling thread.
+pub(crate) fn for_each_shard<S: Send>(shards: &mut [S], threads: usize, f: impl Fn(&mut S) + Sync) {
+    let per_thread = shards.len().div_ceil(threads.max(1)).max(1);
+    let mut chunks = shards.chunks_mut(per_thread);
+    let first = chunks.next();
+    let f = &f;
+    std::thread::scope(|scope| {
+        for chunk in chunks {
+            scope.spawn(move || chunk.iter_mut().for_each(f));
+        }
+        first.into_iter().flatten().for_each(f);
+    });
+}
+
 /// Run `builder` on the sharded engine with (up to) `k` shards.
 pub(crate) fn run_sharded(builder: SimBuilder, k: usize) -> SimOutput {
     let n = builder.programs.len() as u32;
@@ -237,6 +262,7 @@ pub(crate) fn run_sharded(builder: SimBuilder, k: usize) -> SimOutput {
     let mut end_time = Time::ZERO;
     let mut marks: Vec<(u32, String, Time)> = Vec::new();
     let mut values: Vec<(u32, String, f64)> = Vec::new();
+    let threads = cores();
 
     // Conservative window loop: each iteration runs [T_min, T_min + δ).
     while let Some(t_min) = shards.iter().filter_map(|s| s.queue.min_time()).min() {
@@ -244,9 +270,7 @@ pub(crate) fn run_sharded(builder: SimBuilder, k: usize) -> SimOutput {
 
         // Parallel phase: shards execute their slice of the window
         // independently; cross-shard effects are parked as WireSend posts.
-        shards
-            .par_iter_mut()
-            .for_each(|shard| shard.run_window(window_end));
+        for_each_shard(&mut shards, threads, |shard| shard.run_window(window_end));
 
         // Serial merge: replay records in global (time, seq) order,
         // assigning each post the next global sequence number — the exact

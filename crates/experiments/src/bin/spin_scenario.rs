@@ -12,7 +12,7 @@
 //! usage text; a file that fails to load or compile, or any expectation
 //! failure — digest mismatch, too few NACKs/retransmits — exits 1.
 
-use spin_experiments::{emit, scenario_runner, Opts};
+use spin_experiments::{emit, scenario_runner, sweep, Opts};
 
 const USAGE: &str = "usage: spin-scenario [FILE ...] [--json] [--jobs N] [--reps R]\n\
   FILE ...   scenario JSON files (default: scenarios/*.json)\n\
@@ -49,8 +49,8 @@ fn main() {
                     .next()
                     .and_then(|n| n.parse::<usize>().ok())
                     .unwrap_or_else(|| usage_error("--jobs needs a worker count"));
-                opts.jobs = Some(n);
-                std::env::set_var("SPIN_JOBS", n.to_string());
+                opts.jobs = n;
+                sweep::set_jobs(n);
             }
             "--reps" => {
                 opts.reps = it

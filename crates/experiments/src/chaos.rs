@@ -107,24 +107,17 @@ fn chaos_sweep(quick: bool, reps: u32) -> Vec<Vec<PointRow>> {
     })
 }
 
-/// Half-width of the 95% confidence interval on the mean.
-fn ci95(s: &OnlineStats) -> f64 {
-    1.96 * s.stddev() / (s.count() as f64).sqrt()
-}
-
 fn tables_from_sweep(rows: &[Vec<PointRow>]) -> Vec<Table> {
     let mut goodput = Table::new("chaos-goodput", "link flaps", "goodput (Gbit/s)");
     let mut recovery = Table::new("chaos-recovery", "link flaps", "mean recovery latency (us)");
     let mut resil = Table::new("chaos-resilience", "link flaps", "count");
     for reps in rows {
         let x = reps[0].0;
-        let multi = reps.len() > 1;
         let mut g_ys = Vec::new();
         let mut r_ys = Vec::new();
         let mut c_ys = Vec::new();
         for (si, (name, ..)) in reps[0].1.iter().enumerate() {
-            let mut g = OnlineStats::new();
-            let mut r = OnlineStats::new();
+            let (mut g, mut r) = (Vec::new(), Vec::new());
             let mut drops = OnlineStats::new();
             let mut rtx = OnlineStats::new();
             let mut downed = OnlineStats::new();
@@ -137,17 +130,13 @@ fn tables_from_sweep(rows: &[Vec<PointRow>]) -> Vec<Table> {
                 rtx.push(res.retransmitted_bytes as f64);
                 downed.push(res.downed_us);
             }
-            g_ys.push((name.clone(), g.mean()));
-            r_ys.push((name.clone(), r.mean()));
+            sweep::fold_reps(&mut g_ys, name, g);
+            sweep::fold_reps(&mut r_ys, name, r);
             c_ys.push((format!("{name} dead-link drops"), drops.mean()));
             c_ys.push((format!("{name} retransmitted B"), rtx.mean()));
             if si == 0 {
                 // Plan-static, transport-independent: report it once.
                 c_ys.push(("downtime us".to_string(), downed.mean()));
-            }
-            if multi {
-                g_ys.push((format!("{name} ±95%"), ci95(&g)));
-                r_ys.push((format!("{name} ±95%"), ci95(&r)));
             }
         }
         goodput.push(x, g_ys);

@@ -3,7 +3,8 @@
 //! One module per evaluation artifact of the paper, each producing
 //! [`spin_sim::stats::Table`]s with the same rows/series the paper reports.
 //! The binaries under `src/bin/` are thin wrappers; `--quick` shrinks
-//! sweeps for smoke runs, `--json` emits machine-readable records.
+//! sweeps for smoke runs, `--json` emits machine-readable records, and
+//! `--jobs N` sets the sweep workers ([`sweep::set_jobs`]).
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -45,11 +46,10 @@ pub struct Opts {
     pub quick: bool,
     /// Emit JSON instead of text tables.
     pub json: bool,
-    /// Sweep worker threads: `Some(n)` when `--jobs n` was given
-    /// (`Some(0)` = explicitly "one per available core"), `None` when the
-    /// flag was absent (inherit `SPIN_JOBS` / auto). Output is
-    /// bit-identical at every setting (see [`sweep`]).
-    pub jobs: Option<usize>,
+    /// Sweep worker threads (`--jobs N`); `0`, the default, means one per
+    /// available core. Output is bit-identical at every setting (see
+    /// [`sweep`]).
+    pub jobs: usize,
     /// Replications per sweep point (`--reps R`, default 1). Experiments
     /// that support it run each point `R` times through independent
     /// `(point, replication, seed)` cells and report mean ± 95% CI series;
@@ -62,7 +62,7 @@ impl Default for Opts {
         Opts {
             quick: false,
             json: false,
-            jobs: None,
+            jobs: 0,
             reps: 1,
         }
     }
@@ -71,19 +71,13 @@ impl Default for Opts {
 impl Opts {
     /// Parse from `std::env::args`. Exits 0 on `--help`; exits non-zero on
     /// an unknown argument so sweep scripts fail loudly instead of running
-    /// the wrong configuration. An explicit `--jobs` is exported to the
-    /// process environment as `SPIN_JOBS` so every sweep in the binary
-    /// (and the vendored rayon pool) honors it.
+    /// the wrong configuration. The worker count goes to
+    /// [`sweep::set_jobs`], so every sweep in the binary honors it.
     pub fn from_args() -> Self {
         const USAGE: &str = "options: --quick (small sweeps)  --json (machine-readable)  --jobs N (sweep workers, 0 = all cores)  --reps R (replications per point, mean ± 95% CI when R > 1)";
         match Self::parse(std::env::args().skip(1)) {
             Ok(Some(o)) => {
-                if let Some(jobs) = o.jobs {
-                    // Exported even when 0: an explicit `--jobs 0` must
-                    // override an inherited SPIN_JOBS (the parsers treat
-                    // a non-positive value as "auto").
-                    std::env::set_var("SPIN_JOBS", jobs.to_string());
-                }
+                sweep::set_jobs(o.jobs);
                 o
             }
             Ok(None) => {
@@ -110,10 +104,9 @@ impl Opts {
                 "--json" => o.json = true,
                 "--jobs" => {
                     let n = it.next().ok_or_else(|| "--jobs (missing N)".to_string())?;
-                    o.jobs = Some(
-                        n.parse()
-                            .map_err(|_| format!("--jobs {n} (not a worker count)"))?,
-                    );
+                    o.jobs = n
+                        .parse()
+                        .map_err(|_| format!("--jobs {n} (not a worker count)"))?;
                 }
                 "--reps" => {
                     let r = it.next().ok_or_else(|| "--reps (missing R)".to_string())?;
@@ -176,18 +169,16 @@ mod tests {
     #[test]
     fn opts_parse_jobs() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        // Absent flag: inherit SPIN_JOBS / auto.
-        assert_eq!(Opts::parse(args(&[])).unwrap().unwrap().jobs, None);
+        // Absent flag: one worker per core.
+        assert_eq!(Opts::parse(args(&[])).unwrap().unwrap().jobs, 0);
         let o = Opts::parse(args(&["--jobs", "4", "--quick"]))
             .unwrap()
             .unwrap();
-        assert_eq!(o.jobs, Some(4));
+        assert_eq!(o.jobs, 4);
         assert!(o.quick);
-        // Explicit 0 is distinguishable from absent: it must override an
-        // inherited SPIN_JOBS back to auto.
         assert_eq!(
             Opts::parse(args(&["--jobs", "0"])).unwrap().unwrap().jobs,
-            Some(0)
+            0
         );
         // Missing or malformed N fails loudly instead of being swallowed.
         assert_eq!(

@@ -18,15 +18,10 @@ use spin_apps::kvstore;
 use spin_apps::pingpong::{self, PingPongMode};
 use spin_core::config::{MachineConfig, NicKind};
 use spin_sim::noise::NoiseModel;
-use spin_sim::stats::{OnlineStats, Table};
+use spin_sim::stats::Table;
 
 /// One sweep point: x plus per-series samples.
 type PointRow = (f64, Vec<(String, f64)>);
-
-/// Half-width of the 95% confidence interval on the mean.
-fn ci95(s: &OnlineStats) -> f64 {
-    1.96 * s.stddev() / (s.count() as f64).sqrt()
-}
 
 /// Fold replications into one table: per series the mean, plus a `±95%`
 /// companion when more than one replication ran. A single replication
@@ -35,21 +30,14 @@ fn aggregate(name: &str, x_label: &str, y_label: &str, rows: &[Vec<PointRow>]) -
     let mut table = Table::new(name, x_label, y_label);
     for reps in rows {
         let x = reps[0].0;
-        let multi = reps.len() > 1;
         let mut ys = Vec::new();
         for (si, (series, _)) in reps[0].1.iter().enumerate() {
-            let mut stats = OnlineStats::new();
-            for rep in reps {
+            let samples = reps.iter().map(|rep| {
                 let (s, v) = &rep.1[si];
                 debug_assert_eq!(s, series, "series order is fixed across cells");
-                let mut one = OnlineStats::new();
-                one.push(*v);
-                stats.merge(&one);
-            }
-            ys.push((series.clone(), stats.mean()));
-            if multi {
-                ys.push((format!("{series} ±95%"), ci95(&stats)));
-            }
+                *v
+            });
+            sweep::fold_reps(&mut ys, series, samples);
         }
         table.push(x, ys);
     }

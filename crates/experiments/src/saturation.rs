@@ -18,7 +18,7 @@
 use crate::sweep;
 use spin_apps::saturate::{self, SaturateMode, SaturateParams};
 use spin_core::config::{MachineConfig, NicKind};
-use spin_sim::stats::{OnlineStats, Table};
+use spin_sim::stats::Table;
 use spin_sim::time::Time;
 
 fn params(interval: Time, quick: bool) -> SaturateParams {
@@ -70,11 +70,6 @@ fn sweep(nic: NicKind, quick: bool, reps: u32) -> Vec<Vec<PointRow>> {
     })
 }
 
-/// Half-width of the 95% confidence interval on the mean.
-fn ci95(s: &OnlineStats) -> f64 {
-    1.96 * s.stddev() / (s.count() as f64).sqrt()
-}
-
 fn tables_from_sweep(nic: NicKind, rows: &[Vec<PointRow>]) -> (Table, Table) {
     let mut goodput = Table::new(
         &format!("saturation-goodput-{}", nic.label()),
@@ -88,32 +83,18 @@ fn tables_from_sweep(nic: NicKind, rows: &[Vec<PointRow>]) -> (Table, Table) {
     );
     for reps in rows {
         let x = reps[0].0;
-        let multi = reps.len() > 1;
         let mut g_ys = Vec::new();
         let mut r_ys = Vec::new();
         for (si, (name, _)) in reps[0].1.iter().enumerate() {
-            // Replications merge through `OnlineStats`; a single
-            // replication reproduces its sample bitwise (merging into an
-            // empty accumulator copies it), so `--reps 1` output is
-            // byte-identical to the pre-replication sweep.
-            let mut g = OnlineStats::new();
-            let mut r = OnlineStats::new();
+            let (mut g, mut r) = (Vec::new(), Vec::new());
             for rep in reps {
                 let (s, o) = &rep.1[si];
                 debug_assert_eq!(s, name, "transport order is fixed across cells");
-                let mut one = OnlineStats::new();
-                one.push(o.goodput_gbps);
-                g.merge(&one);
-                let mut one = OnlineStats::new();
-                one.push(o.disabled_us);
-                r.merge(&one);
+                g.push(o.goodput_gbps);
+                r.push(o.disabled_us);
             }
-            g_ys.push((name.clone(), g.mean()));
-            r_ys.push((name.clone(), r.mean()));
-            if multi {
-                g_ys.push((format!("{name} ±95%"), ci95(&g)));
-                r_ys.push((format!("{name} ±95%"), ci95(&r)));
-            }
+            sweep::fold_reps(&mut g_ys, name, g);
+            sweep::fold_reps(&mut r_ys, name, r);
         }
         goodput.push(x, g_ys);
         // Mean per-episode recovery latency: how long the PT stayed

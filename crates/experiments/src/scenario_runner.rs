@@ -11,7 +11,7 @@
 
 use crate::sweep;
 use spin_scenario::{digest, Scenario, ScenarioCompiler};
-use spin_sim::stats::{OnlineStats, Table};
+use spin_sim::stats::Table;
 
 /// Per-file pinned digests, paired with the source file name.
 pub type Digests = Vec<(String, u64)>;
@@ -104,14 +104,8 @@ pub fn run_tables(
     Ok((tables, digests))
 }
 
-/// Half-width of the 95% confidence interval on the mean.
-fn ci95(s: &OnlineStats) -> f64 {
-    1.96 * s.stddev() / (s.count() as f64).sqrt()
-}
-
 fn table_for(name: &str, runs: &[(RepRow, Option<u64>)]) -> Table {
     let mut t = Table::new(&format!("scenario-{name}"), "run", "value");
-    let multi = runs.len() > 1;
     type Get = fn(&RepRow) -> f64;
     let series: [(&str, Get); 5] = [
         ("end (us)", |r| r.end_us),
@@ -122,19 +116,9 @@ fn table_for(name: &str, runs: &[(RepRow, Option<u64>)]) -> Table {
     ];
     let mut ys = Vec::new();
     for (label, get) in series {
-        // Replications merge through `OnlineStats`; a single replication
-        // reproduces its sample bitwise, so `--reps 1` output carries the
-        // pinned run's exact observables.
-        let mut stats = OnlineStats::new();
-        for (row, _) in runs {
-            let mut one = OnlineStats::new();
-            one.push(get(row));
-            stats.merge(&one);
-        }
-        ys.push((label.to_string(), stats.mean()));
-        if multi {
-            ys.push((format!("{label} ±95%"), ci95(&stats)));
-        }
+        // A single replication reproduces its sample bitwise, so
+        // `--reps 1` output carries the pinned run's exact observables.
+        sweep::fold_reps(&mut ys, label, runs.iter().map(|(row, _)| get(row)));
     }
     t.push(0.0, ys);
     t

@@ -4,9 +4,9 @@
 //! loads, traces, ...) each simulated for one or more **replications**.
 //! Every `(point, replication)` pair is an independent simulation — it
 //! owns its own `Engine`, `World`, and RNG stream — so the harness
-//! decomposes the sweep into [`Cell`]s, fans the cells out across cores
-//! with the vendored rayon's order-preserving `par_iter().map().collect()`,
-//! and merges the results back in `(point, replication)` order.
+//! decomposes the sweep into [`Cell`]s, fans the cells out over
+//! `std::thread::scope` workers that claim them one at a time, and merges
+//! the results back in `(point, replication)` order.
 //!
 //! **Determinism:** the merged output is bit-identical to a serial run.
 //! Three properties guarantee it:
@@ -14,20 +14,20 @@
 //! 1. every cell's seed is a pure function of its coordinates
 //!    ([`spin_sim::rng::cell_seed`]), never of scheduling;
 //! 2. cells share no mutable state (each builds its own machine);
-//! 3. the parallel collect preserves input order across chunk boundaries
-//!    (pinned by a regression test in `vendor/rayon`).
+//! 3. every result lands in the slot of its cell's index, whichever worker
+//!    claimed it (pinned by a cost-skewed order test below).
 //!
 //! `tests/sweep_determinism.rs` asserts the end-to-end consequence: the
-//! emitted JSON of a fig3 + saturation run is byte-identical between
-//! `SPIN_JOBS=1` and `SPIN_JOBS=4`.
+//! emitted JSON of a fig3 + saturation run is byte-identical between one
+//! worker and 3, 4 or 7.
 //!
 //! **Worker count:** `--jobs N` on any experiment binary (see
-//! [`crate::Opts`]) or the `SPIN_JOBS` environment variable; `0`/unset
-//! means one worker per available core. `SPIN_JOBS=1` forces the serial
-//! reference path.
+//! [`crate::Opts`]), which calls [`set_jobs`]; `0`, the default, means one
+//! worker per available core, and `1` runs the serial reference path.
 
-use rayon::prelude::*;
 use spin_sim::rng::cell_seed;
+use spin_sim::stats::OnlineStats;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Base seed experiment sweeps derive per-cell seeds from (arbitrary but
 /// fixed: changing it would re-seed every noise-bearing sweep).
@@ -45,12 +45,61 @@ pub struct Cell {
     pub seed: u64,
 }
 
-/// Resolved worker count: the `SPIN_JOBS` environment variable when set to
-/// a positive integer, otherwise one worker per available core. Delegates
-/// to the vendored rayon's policy so the harness's serial short-circuit
-/// and the pool's actual worker count can never disagree.
+/// Sweep workers set by [`set_jobs`]; `0` means one per available core.
+static JOBS: AtomicUsize = AtomicUsize::new(0);
+
+/// Set the worker count of every later sweep in this process: `0` for one
+/// per available core, `1` for the serial reference path. Output is the
+/// same at every setting.
+pub fn set_jobs(n: usize) {
+    JOBS.store(n, Ordering::Relaxed);
+}
+
+/// Resolved worker count: the [`set_jobs`] value when positive, otherwise
+/// one worker per available core.
 pub fn jobs() -> usize {
-    rayon::current_num_threads()
+    match JOBS.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
+}
+
+/// `f(0), f(1), ..., f(len - 1)` on `jobs` scoped threads, in index order.
+/// Each worker claims the next unclaimed index from one atomic counter, so
+/// a few costly cells at the head do not idle the others; each result lands
+/// in its index's slot, so the output is the same for every worker count
+/// and every claim order.
+fn par_map<R: Send>(len: usize, jobs: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(len))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            return done;
+                        }
+                        done.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e));
+            for (i, r) in done {
+                slots[i] = Some(r);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("the claim counter hands out every index once"))
+        .collect()
 }
 
 /// Run `f` for every `(point, replication)` cell, fanned out across cores,
@@ -76,13 +125,14 @@ where
             })
         })
         .collect();
-    let flat: Vec<R> = if jobs() == 1 {
+    let jobs = jobs();
+    let flat: Vec<R> = if jobs == 1 {
         cells.iter().map(|c| f(&points[c.point], *c)).collect()
     } else {
-        cells.par_iter().map(|c| f(&points[c.point], *c)).collect()
+        par_map(cells.len(), jobs, |i| f(&points[cells[i].point], cells[i]))
     };
     // Merge deterministically: cells were generated point-major, and the
-    // collect preserved their order, so the groups are consecutive runs.
+    // map preserved their order, so the groups are consecutive runs.
     let mut out: Vec<Vec<R>> = Vec::with_capacity(points.len());
     let mut it = flat.into_iter();
     for _ in 0..points.len() {
@@ -103,6 +153,21 @@ where
         .into_iter()
         .map(|mut reps| reps.pop().expect("one replication per point"))
         .collect()
+}
+
+/// Fold one series' replications into table columns: the mean under
+/// `label`, plus the half-width of its 95% confidence interval under
+/// `"{label} ±95%"` when more than one replication ran. Pushing one sample
+/// into an empty [`OnlineStats`] reproduces it exactly, so `--reps 1`
+/// output is the single-run sweep's, byte for byte.
+pub fn fold_reps(ys: &mut Vec<(String, f64)>, label: &str, samples: impl IntoIterator<Item = f64>) {
+    let mut s = OnlineStats::new();
+    samples.into_iter().for_each(|x| s.push(x));
+    ys.push((label.to_string(), s.mean()));
+    if s.count() > 1 {
+        let ci95 = 1.96 * s.stddev() / (s.count() as f64).sqrt();
+        ys.push((format!("{label} ±95%"), ci95));
+    }
 }
 
 #[cfg(test)]
@@ -135,23 +200,42 @@ mod tests {
     #[test]
     fn serial_and_forced_parallel_agree() {
         // Belt and braces on top of tests/sweep_determinism.rs: the
-        // harness itself merges identically under both paths. (Env-var
-        // mutation is safe here: this is the only test in the crate that
-        // touches SPIN_JOBS, and it restores the prior value.)
-        let prior = std::env::var("SPIN_JOBS").ok();
+        // harness itself merges identically under both paths. (No other
+        // test in this crate calls `set_jobs`, and this one restores the
+        // default.)
         let points: Vec<u64> = (0..37).collect();
         let run = || run_cells(&points, 3, |&p, c| (p, c.replication, c.seed));
-        std::env::set_var("SPIN_JOBS", "1");
+        set_jobs(1);
         assert_eq!(jobs(), 1);
         let serial = run();
-        std::env::set_var("SPIN_JOBS", "4");
+        set_jobs(4);
         assert_eq!(jobs(), 4);
         let parallel = run();
-        match prior {
-            Some(v) => std::env::set_var("SPIN_JOBS", v),
-            None => std::env::remove_var("SPIN_JOBS"),
-        }
+        set_jobs(0);
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_under_skewed_cost() {
+        // The deterministic merge rests on this: results come back in
+        // input order even when the worker count does not divide the item
+        // count and early items cost far more than late ones. Item `i`
+        // spins for a time proportional to `n - i`, so items finish in
+        // roughly reverse order; a completion-ordered map would fail.
+        let skewed_work = |i: usize, n: usize| -> usize {
+            let mut acc = i as u64;
+            for _ in 0..(n - i) * 300 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            std::hint::black_box(acc);
+            i
+        };
+        for jobs in [2, 3, 5, 16] {
+            for n in [0, 1, 2, 7, 64, 65, 331] {
+                let got = par_map(n, jobs, |i| skewed_work(i, n));
+                assert_eq!(got, (0..n).collect::<Vec<_>>(), "jobs={jobs} n={n}");
+            }
+        }
     }
 
     #[test]

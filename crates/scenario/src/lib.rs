@@ -63,6 +63,13 @@ fn ns_field(name: &str, field: std::fmt::Arguments<'_>, ns: u64) -> Result<Time,
     Ok(Time::from_ns(ns))
 }
 
+/// The largest payload any byte field of a workload may ask for: 1 GiB.
+/// The ping-pong, broadcast, saturation and RAID builders size host memory
+/// to the payload and build host-side copies of it, so a larger value
+/// allocates gigabytes before the run starts, and one near `usize::MAX`
+/// overflows a capacity or aborts the process on a failed allocation.
+const MAX_BYTES: usize = 1 << 30;
+
 /// Scenario-level error: parse, validation, or expectation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
@@ -636,12 +643,19 @@ impl ScenarioCompiler {
     }
 
     /// `KvInserts.slots` sizes every server's table: the slot hash divides
-    /// by it, and the table's host memory must fit a `usize`.
-    fn check_kv_slots(&self, slots: u64) -> Result<(), Error> {
+    /// by it, and the table's host memory must fit a `usize`. Every key may
+    /// hash to the same server, so only `inserts <= slots` fits the table
+    /// for every seed.
+    fn check_kv_slots(&self, slots: u64, inserts: usize) -> Result<(), Error> {
         let why = if slots == 0 {
-            "must be at least 1"
+            "must be at least 1".to_string()
         } else if spin_apps::kvstore::mem_size(slots).is_none() {
-            "sizes a table larger than the address space"
+            "sizes a table larger than the address space".to_string()
+        } else if inserts as u64 > slots {
+            format!(
+                "is below workload.KvInserts.inserts = {inserts}; every key may \
+                 hash to the same server, so the table needs a slot per insert"
+            )
         } else {
             return Ok(());
         };
@@ -649,6 +663,19 @@ impl ScenarioCompiler {
             "scenario {:?}: workload.KvInserts.slots = {slots} {why}",
             self.scenario.name
         )))
+    }
+
+    /// Byte field `workload.{field}`, or an error naming it and its value
+    /// when it exceeds [`MAX_BYTES`].
+    fn payload_bytes(&self, field: &str, bytes: usize) -> Result<usize, Error> {
+        if bytes > MAX_BYTES {
+            return Err(Error::msg(format!(
+                "scenario {:?}: workload.{field} = {bytes} exceeds {MAX_BYTES}, the \
+                 bound on payload sizes (1 GiB)",
+                self.scenario.name
+            )));
+        }
+        Ok(bytes)
     }
 
     /// `Saturate`'s injection interval and service time as simulated time.
@@ -729,7 +756,8 @@ impl ScenarioCompiler {
                     PingPongModeConfig::SpinStore => spin_apps::pingpong::PingPongMode::SpinStore,
                     PingPongModeConfig::SpinStream => spin_apps::pingpong::PingPongMode::SpinStream,
                 };
-                Ok(spin_apps::pingpong::builder(cfg, mode, *bytes, *rounds))
+                let bytes = self.payload_bytes("PingPong.bytes", *bytes)?;
+                Ok(spin_apps::pingpong::builder(cfg, mode, bytes, *rounds))
             }
             Workload::Bcast { bytes, mode } => {
                 fixed_root("broadcast")?;
@@ -738,11 +766,12 @@ impl ScenarioCompiler {
                     BcastModeConfig::P4 => spin_apps::bcast::BcastMode::P4,
                     BcastModeConfig::Spin => spin_apps::bcast::BcastMode::Spin,
                 };
-                Ok(spin_apps::bcast::builder(cfg, mode, *bytes, n))
+                let bytes = self.payload_bytes("Bcast.bytes", *bytes)?;
+                Ok(spin_apps::bcast::builder(cfg, mode, bytes, n))
             }
             Workload::KvInserts { slots, inserts } => {
                 fixed_root("key-value")?;
-                self.check_kv_slots(*slots)?;
+                self.check_kv_slots(*slots, *inserts)?;
                 let pairs = spin_apps::kvstore::random_pairs(*inserts, cfg.seed);
                 Ok(spin_apps::kvstore::builder(cfg, n - 1, *slots, pairs))
             }
@@ -758,7 +787,7 @@ impl ScenarioCompiler {
                 let params = spin_apps::saturate::SaturateParams {
                     senders: n - 1,
                     messages: *messages,
-                    bytes: *bytes,
+                    bytes: self.payload_bytes("Saturate.bytes", *bytes)?,
                     interval,
                     service,
                 };
@@ -771,7 +800,8 @@ impl ScenarioCompiler {
             Workload::Raid { total_bytes, mode } => {
                 fixed_root("RAID")?;
                 exact_nodes(6, "RAID needs exactly 6 nodes (client + parity + 4 data)")?;
-                let w = spin_apps::raid::RaidWorkload::fig7c(*total_bytes);
+                let total_bytes = self.payload_bytes("Raid.total_bytes", *total_bytes)?;
+                let w = spin_apps::raid::RaidWorkload::fig7c(total_bytes);
                 let mode = match mode {
                     TransportConfig::Rdma => spin_apps::raid::RaidMode::Rdma,
                     TransportConfig::Spin => spin_apps::raid::RaidMode::Spin,
@@ -1154,6 +1184,20 @@ mod tests {
                 r#"{"KvInserts": {"slots": 18446744073709551615, "inserts": 10}}"#,
                 Some("workload.KvInserts.slots = 18446744073709551615 sizes a table larger than the address space"),
             ),
+            (
+                "50 key-value inserts into 1 slot",
+                TREE4,
+                "{}",
+                r#"{"KvInserts": {"slots": 1, "inserts": 50}}"#,
+                Some("workload.KvInserts.slots = 1 is below workload.KvInserts.inserts = 50; every key may hash to the same server, so the table needs a slot per insert"),
+            ),
+            (
+                "16 key-value inserts into 16 slots",
+                TREE4,
+                "{}",
+                r#"{"KvInserts": {"slots": 16, "inserts": 16}}"#,
+                None,
+            ),
         ];
         for (what, topology, machine, workload, want) in cases {
             let s = Scenario::from_json(&format!(
@@ -1162,6 +1206,43 @@ mod tests {
             ))
             .unwrap();
             assert_runs_or_fails_naming(what, s, want);
+        }
+        // Every byte field just past the bound and at u64::MAX. No case
+        // runs at the bound itself: it would allocate gigabytes.
+        let byte_fields = [
+            (
+                "PingPong",
+                "bytes",
+                r#"{"Torus": {"dims": [2]}}"#,
+                r#""rounds": 1, "mode": "Rdma""#,
+            ),
+            ("Bcast", "bytes", TREE4, r#""mode": "Spin""#),
+            (
+                "Saturate",
+                "bytes",
+                TREE4,
+                r#""messages": 4, "interval_ns": 2000, "service_ns": 2000, "mode": "Spin""#,
+            ),
+            (
+                "Raid",
+                "total_bytes",
+                r#"{"FatTree": {"nodes": 6, "ports": 4}}"#,
+                r#""mode": "Spin""#,
+            ),
+        ];
+        for (kind, field, topology, rest) in byte_fields {
+            for value in [MAX_BYTES as u64 + 1, u64::MAX] {
+                let s = Scenario::from_json(&format!(
+                    r#"{{"name": "mem", "topology": {topology},
+                        "workload": {{"{kind}": {{"{field}": {value}, {rest}}}}}}}"#
+                ))
+                .unwrap();
+                let want = format!(
+                    "workload.{kind}.{field} = {value} exceeds {MAX_BYTES}, the bound on \
+                     payload sizes (1 GiB)"
+                );
+                assert_runs_or_fails_naming(&format!("{kind}.{field} = {value}"), s, Some(&want));
+            }
         }
     }
 

@@ -1,28 +1,20 @@
 //! End-to-end determinism proof for the parallel sweep harness: the JSON
 //! an experiment emits must be **byte-identical** between a serial run
-//! (`SPIN_JOBS=1`) and a parallel run (`SPIN_JOBS=4` — or whatever the
-//! environment's `SPIN_JOBS` says, so the CI step can pin its own worker
-//! count). This is the property the whole conversion rests on: fanning
-//! the `(point, replication, seed)` cells across cores must be a pure
+//! (one worker) and parallel runs at 4, 3 and 7 workers. This is the
+//! property the whole conversion rests on: fanning the
+//! `(point, replication, seed)` cells across cores must be a pure
 //! performance knob, never a result knob.
 //!
-//! Everything runs inside ONE test function: the harness reads
-//! `SPIN_JOBS` from the process environment, and Rust runs tests in the
-//! same binary concurrently, so splitting the legs into separate `#[test]`s
-//! would race the variable.
+//! Everything runs inside ONE test function: the worker count is
+//! process-wide ([`sweep::set_jobs`]), and Rust runs tests in the same
+//! binary concurrently, so splitting the legs into separate `#[test]`s
+//! would race it.
 
 use spin_core::config::NicKind;
 use spin_experiments::{fig3, saturation, sweep};
 
 #[test]
 fn parallel_sweep_json_is_byte_identical_to_serial() {
-    // The parallel worker count: CI pins SPIN_JOBS=4; locally any preset
-    // value wins, defaulting to 4.
-    let parallel_jobs = std::env::var("SPIN_JOBS")
-        .ok()
-        .filter(|v| v.trim().parse::<usize>().is_ok_and(|n| n > 1))
-        .unwrap_or_else(|| "4".to_string());
-
     // A small fig3 sweep (pingpong sizes × transports, multi-packet
     // payloads through the CoW injection path) plus the saturation sweep
     // (closed-loop recovery, every NIC kind, overcommitted receivers) —
@@ -36,36 +28,27 @@ fn parallel_sweep_json_is_byte_identical_to_serial() {
         serde_json::to_string_pretty(&tables).expect("tables serialize")
     };
 
-    std::env::set_var("SPIN_JOBS", "1");
+    sweep::set_jobs(1);
     assert_eq!(sweep::jobs(), 1, "serial leg must actually be serial");
     let serial = emit();
-
-    std::env::set_var("SPIN_JOBS", &parallel_jobs);
-    assert!(sweep::jobs() > 1, "parallel leg must actually fan out");
-    let parallel = emit();
-
-    assert!(
-        serial == parallel,
-        "sweep output diverged between SPIN_JOBS=1 and SPIN_JOBS={parallel_jobs}:\n\
-         serial {} bytes, parallel {} bytes",
-        serial.len(),
-        parallel.len()
-    );
 
     // The work queue hands indices to whichever worker asks first, so the
     // claim interleaving differs at every worker count — ragged counts
     // (3, 7) that never divide the cell grid evenly must still emit the
-    // same bytes. Static chunking passed this trivially; the dynamic
-    // queue has to earn it through index-keyed result slots.
-    for jobs in ["3", "7"] {
-        std::env::set_var("SPIN_JOBS", jobs);
-        let ragged = emit();
+    // same bytes, through index-keyed result slots.
+    for jobs in [4, 3, 7] {
+        sweep::set_jobs(jobs);
+        assert_eq!(sweep::jobs(), jobs);
+        let parallel = emit();
         assert!(
-            serial == ragged,
-            "sweep output diverged between SPIN_JOBS=1 and SPIN_JOBS={jobs}"
+            serial == parallel,
+            "sweep output diverged between 1 and {jobs} workers:\n\
+             serial {} bytes, parallel {} bytes",
+            serial.len(),
+            parallel.len()
         );
     }
-    std::env::remove_var("SPIN_JOBS");
+    sweep::set_jobs(0);
     // Sanity: the comparison compared something real.
     assert!(serial.len() > 1_000, "suspiciously small output");
 }
