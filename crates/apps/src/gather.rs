@@ -38,6 +38,13 @@ pub fn layout_end(n: u32, root: u32, put_bytes: usize, ring_bytes: usize) -> usi
         .max(SEND_SRC.saturating_add(put_bytes.max(ring_bytes)))
 }
 
+/// MEs the root arms at start: one per sender plus the exchange-ring ME,
+/// `n` in all. An NI holds at most
+/// [`MAX_ENTRIES`](spin_portals::ni::MAX_ENTRIES).
+pub fn root_mes(n: u32) -> u64 {
+    u64::from(n)
+}
+
 /// Gather root: one ME per sender (tagged by sender rank), plus the
 /// exchange-ring ME.
 struct GatherRoot;

@@ -34,6 +34,13 @@ pub fn layout_end(n: u32, root: u32) -> usize {
     (base + len).max(RING_DST + 0x1000).max(SEND_SRC + 2 * MTU)
 }
 
+/// MEs the root arms at start: one per sender per round plus one ring ME
+/// per round, `n × rounds` in all. An NI holds at most
+/// [`MAX_ENTRIES`](spin_portals::ni::MAX_ENTRIES).
+pub fn root_mes(n: u32, rounds: u32) -> u64 {
+    u64::from(n) * u64::from(rounds)
+}
+
 /// Gather root: one ME per sender per round, plus the ring MEs.
 struct IncastRoot {
     rounds: u32,

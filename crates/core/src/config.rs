@@ -71,9 +71,9 @@ impl Default for HostParams {
 /// message bouncing off a disabled portal table entry is NACKed back to
 /// the initiator, which queues it, backs off, probes, and replays in
 /// order; the target NIC automatically re-enables the entry once its
-/// EQ/HPU contexts drain and an ME is available. When `None` (the paper's
-/// baseline behaviour), recovery is manual: the host must call
-/// `PtlPTEnable` and dropped messages are lost.
+/// in-flight messages and HPU contexts drain and an ME is available. When
+/// `None` (the paper's baseline behaviour), recovery is manual: the host
+/// must call `PtlPTEnable` and dropped messages are lost.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryConfig {
     /// Initial sender backoff after a `PtDisabled` NACK.
@@ -218,8 +218,6 @@ pub struct MachineConfig {
     pub host: HostParams,
     /// Channel CAM capacity (concurrent in-flight matched messages per NIC).
     pub cam_capacity: usize,
-    /// Default event-queue capacity.
-    pub eq_capacity: usize,
     /// Portal-table entries per NI.
     pub num_pts: usize,
     /// OS noise on host cores (None = noiseless).
@@ -251,7 +249,6 @@ impl MachineConfig {
             hpu: HpuConfig::paper(),
             host: HostParams::default(),
             cam_capacity: 1024,
-            eq_capacity: 1 << 16,
             num_pts: 8,
             noise: None,
             recovery: None,

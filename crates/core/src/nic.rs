@@ -18,7 +18,7 @@ use spin_hpu::pool::HpuPool;
 use spin_portals::ct::CtHandle;
 use spin_portals::eq::FullEvent;
 use spin_portals::me::MeHandle;
-use spin_portals::ni::{NiLimits, PortalsNi};
+use spin_portals::ni::PortalsNi;
 use spin_portals::types::{AckReq, PtlHeader};
 use spin_sim::time::Time;
 use std::collections::HashMap;
@@ -226,12 +226,8 @@ pub struct Nic {
 impl Nic {
     /// Build a NIC per the machine configuration.
     pub fn new(config: &MachineConfig) -> Self {
-        let limits = NiLimits {
-            max_payload_size: config.net.mtu,
-            ..NiLimits::default()
-        };
         Nic {
-            ni: PortalsNi::new(config.num_pts, limits),
+            ni: PortalsNi::new(config.num_pts),
             pool: HpuPool::new(config.hpu),
             cam: Cam::new(config.cam_capacity),
             dma: DmaEngine::new(config.nic.dma_params()),
@@ -247,7 +243,7 @@ impl Nic {
     }
 
     /// Tear down volatile NIC state on a scheduled node crash
-    /// (`FaultKind::NodeCrash`): the Portals NI (MEs, PTs, EQs, CTs),
+    /// (`FaultKind::NodeCrash`): the Portals NI (MEs, PTs, CTs),
     /// channel CAM, HPU shared memory, in-flight send bookkeeping, and
     /// recovery episodes are lost; peers of in-flight traffic discover the
     /// crash through NACKs / probe exhaustion. What survives: the HPU pool
@@ -258,11 +254,7 @@ impl Nic {
     /// buffered at peers. Host memory is likewise preserved (a warm
     /// restart, not a reimage).
     pub fn crash_reset(&mut self, config: &MachineConfig) {
-        let limits = NiLimits {
-            max_payload_size: config.net.mtu,
-            ..NiLimits::default()
-        };
-        self.ni = PortalsNi::new(config.num_pts, limits);
+        self.ni = PortalsNi::new(config.num_pts);
         self.cam = Cam::new(config.cam_capacity);
         self.hpu_mems.clear();
         self.pending_sends.clear();

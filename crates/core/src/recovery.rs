@@ -582,9 +582,9 @@ impl World {
     /// re-enabled locally once the CAM has no channel of this PT still
     /// assembling, an HPU execution context is free, and the straggler
     /// guard has elapsed. A **ULP-managed** entry (plain Portals MEs) is
-    /// the host's to recover — it must drain its event queue, repost
-    /// matching state, and call `PtlPTEnable` — so the poll stops as soon
-    /// as that ownership is clear.
+    /// the host's to recover — it must handle the `PtDisabled` event,
+    /// repost matching state, and call `PtlPTEnable` — so the poll stops
+    /// as soon as that ownership is clear.
     pub(crate) fn on_drain_check(&mut self, q: &mut EventQueue<Ev>, now: Time, n: u32, pt: u32) {
         let nic = &mut self.nodes[n as usize].nic;
         if nic.ni.pt_enabled(pt) {

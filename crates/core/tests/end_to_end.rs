@@ -218,7 +218,9 @@ fn triggered_put_forwards_without_host() {
 struct UnexpectedSender;
 impl HostProgram for UnexpectedSender {
     fn on_start(&mut self, api: &mut HostApi<'_>) {
+        // The second put arrives while the entry is still disabled.
         api.put(PutArgs::inline(1, 0, 123, vec![1, 2, 3]));
+        api.put(PutArgs::inline(1, 0, 123, vec![4, 5, 6]));
     }
 }
 
@@ -243,7 +245,10 @@ fn missing_me_triggers_flow_control() {
     out.report
         .mark(1, "pt_disabled")
         .expect("flow control event");
+    // One header hit flow control, and one was dropped at the disabled
+    // entry.
     assert_eq!(out.report.node_stats[1].flow_control_events, 1);
+    assert_eq!(out.report.node_stats[1].packets_dropped, 1);
     assert!(out.world.nodes[1].nic.ni.pt_enabled(0), "re-enabled");
 }
 

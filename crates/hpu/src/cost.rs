@@ -76,7 +76,7 @@ pub const YIELD: u64 = 8;
 /// 650 ns line-rate budget of §4.4.2.
 pub const STREAM_VEC16: u64 = 2;
 
-/// Per-element cost of a complex<f64> multiply-accumulate (4 mul + 2 add +
+/// Per-element cost of a `complex<f64>` multiply-accumulate (4 mul + 2 add +
 /// loads/stores over 16 B; the A15 NEON pipe retires roughly one such
 /// element per 10 cycles).
 pub const COMPLEX_MUL_16B: u64 = 10;

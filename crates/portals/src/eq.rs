@@ -1,14 +1,11 @@
-//! Full event queues (§3.1: "Completion notification occurs through counting
+//! Full events (§3.1: "Completion notification occurs through counting
 //! events or appending a full event to an event queue, which is also used
-//! for error notification").
+//! for error notification"). The NIC model in `spin-core` delivers each
+//! full event to the host program after the host dispatch latency, rather
+//! than through a queue the host polls.
 
 use crate::me::MeHandle;
 use crate::types::{MatchBits, ProcessId};
-use std::collections::VecDeque;
-
-/// Handle to an allocated event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EqHandle(pub u32);
 
 /// Kinds of full events the simulator delivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,18 +14,10 @@ pub enum EventKind {
     Put,
     /// A put landed in an overflow-list ME (unexpected message).
     PutOverflow,
-    /// A get was served from local memory.
-    Get,
     /// The reply to a get arrived (initiator side).
     Reply,
     /// An ack for a put arrived (initiator side).
     Ack,
-    /// A send completed locally (MD reusable).
-    Send,
-    /// An atomic operation was applied.
-    Atomic,
-    /// A matching receive was consumed by PtlMESearch.
-    Search,
     /// The portal table entry was disabled by flow control (§3.2).
     PtDisabled,
     /// A sPIN handler raised an error (FAIL/SEGV, Appendix B.3–B.5).
@@ -59,7 +48,7 @@ pub struct FullEvent {
     pub hdr_data: u64,
     /// The ME involved (target events).
     pub me: Option<MeHandle>,
-    /// User pointer from the ME/MD.
+    /// User pointer from the ME.
     pub user_ptr: u64,
     /// Failure code; `0` is success. Only the first handler error per
     /// message is reported (Appendix B.3).
@@ -81,102 +70,5 @@ impl FullEvent {
             user_ptr: 0,
             ni_fail: 0,
         }
-    }
-}
-
-/// A bounded event queue. Overflow drops the event and latches an error
-/// flag, as a real Portals implementation signals `PTL_EQ_DROPPED`.
-#[derive(Debug, Clone)]
-pub struct EventQueue {
-    events: VecDeque<FullEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl EventQueue {
-    /// A queue holding up to `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "event queue capacity must be positive");
-        EventQueue {
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Append an event; returns `false` (and counts a drop) when full.
-    pub fn push(&mut self, ev: FullEvent) -> bool {
-        if self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return false;
-        }
-        self.events.push_back(ev);
-        true
-    }
-
-    /// Pop the oldest event (PtlEQGet).
-    pub fn pop(&mut self) -> Option<FullEvent> {
-        self.events.pop_front()
-    }
-
-    /// Peek without consuming.
-    pub fn peek(&self) -> Option<&FullEvent> {
-        self.events.front()
-    }
-
-    /// Events waiting.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events lost to overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fifo_order() {
-        let mut q = EventQueue::new(16);
-        for i in 0..5 {
-            q.push(FullEvent::simple(EventKind::Put, i, i as u64, 8));
-        }
-        for i in 0..5 {
-            assert_eq!(q.pop().unwrap().peer, i);
-        }
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn overflow_drops_and_counts() {
-        let mut q = EventQueue::new(2);
-        assert!(q.push(FullEvent::simple(EventKind::Put, 0, 0, 0)));
-        assert!(q.push(FullEvent::simple(EventKind::Put, 1, 0, 0)));
-        assert!(!q.push(FullEvent::simple(EventKind::Put, 2, 0, 0)));
-        assert_eq!(q.dropped(), 1);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new(4);
-        q.push(FullEvent::simple(EventKind::Ack, 9, 1, 4));
-        assert_eq!(q.peek().unwrap().peer, 9);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_rejected() {
-        EventQueue::new(0);
     }
 }

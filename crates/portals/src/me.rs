@@ -27,29 +27,15 @@ pub enum ListKind {
     Overflow,
 }
 
-/// ME behaviour options (subset of `PTL_ME_*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// ME behaviour options (subset of `PTL_ME_*`). Every ME accepts both put
+/// and get operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MeOptions {
     /// Unlink after the first match.
     pub use_once: bool,
     /// Locally-managed offset: incoming data packs at the ME's own cursor
     /// rather than the initiator-specified offset.
     pub manage_local: bool,
-    /// Accept put operations.
-    pub op_put: bool,
-    /// Accept get operations.
-    pub op_get: bool,
-}
-
-impl Default for MeOptions {
-    fn default() -> Self {
-        MeOptions {
-            use_once: false,
-            manage_local: false,
-            op_put: true,
-            op_get: true,
-        }
-    }
 }
 
 impl MeOptions {
@@ -67,7 +53,6 @@ impl MeOptions {
         MeOptions {
             use_once: false,
             manage_local: true,
-            ..Default::default()
         }
     }
 }
@@ -242,22 +227,6 @@ impl MatchList {
         None
     }
 
-    /// Look up an entry by handle (priority then overflow).
-    pub fn get(&self, handle: MeHandle) -> Option<&MatchEntry> {
-        self.priority
-            .iter()
-            .chain(self.overflow.iter())
-            .find(|e| e.handle == handle)
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, handle: MeHandle) -> Option<&mut MatchEntry> {
-        self.priority
-            .iter_mut()
-            .chain(self.overflow.iter_mut())
-            .find(|e| e.handle == handle)
-    }
-
     /// Explicitly unlink an entry (PtlMEUnlink). Returns whether it existed.
     pub fn unlink(&mut self, handle: MeHandle) -> bool {
         if let Some(pos) = self.priority.iter().position(|e| e.handle == handle) {
@@ -269,15 +238,6 @@ impl MatchList {
             return true;
         }
         false
-    }
-
-    /// Search without consuming (PtlMESearch with PTL_SEARCH_ONLY): used by
-    /// the host to probe for unexpected messages.
-    pub fn search(&self, bits: MatchBits, source: ProcessId) -> Option<&MatchEntry> {
-        self.priority
-            .iter()
-            .chain(self.overflow.iter())
-            .find(|e| e.matches(bits, source))
     }
 }
 
@@ -433,18 +393,8 @@ mod tests {
     fn unlink_and_search() {
         let mut l = MatchList::new();
         let h = l.append(me(7, 0), ListKind::Priority);
-        assert!(l.search(7, 0).is_some());
         assert!(l.unlink(h));
         assert!(!l.unlink(h));
-        assert!(l.search(7, 0).is_none());
-    }
-
-    #[test]
-    fn get_accessors() {
-        let mut l = MatchList::new();
-        let h = l.append(me(7, 0), ListKind::Overflow);
-        assert_eq!(l.get(h).unwrap().match_bits, 7);
-        l.get_mut(h).unwrap().user_ptr = 55;
-        assert_eq!(l.get(h).unwrap().user_ptr, 55);
+        assert!(l.is_empty());
     }
 }

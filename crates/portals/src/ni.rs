@@ -1,60 +1,22 @@
-//! The logical network interface (NI): portal table, resource tables, and
-//! flow control.
+//! The logical network interface (NI): portal table, counters, and flow
+//! control.
 //!
 //! Flow control follows §3.2: when a message arrives and cannot be handled —
 //! no matching ME, or (for sPIN) no HPU execution contexts — the portal
 //! table entry is disabled and subsequent messages to it are dropped until
-//! the host re-enables it (PtlPTEnable). A `PtDisabled` event notifies the
-//! host.
+//! the host re-enables it (PtlPTEnable). The NIC model notifies the host
+//! with a `PtDisabled` full event.
 
 use crate::ct::{CtHandle, CtTable, TriggeredAction, TriggeredOp};
-use crate::eq::{EqHandle, EventKind, EventQueue, FullEvent};
-use crate::md::{MdHandle, MdTable, MemoryDescriptor};
 use crate::me::{ListKind, MatchEntry, MatchList, MatchOutcome, MeHandle};
 use crate::types::{MatchBits, ProcessId};
 
 /// Portal table index.
 pub type PtIndex = u32;
 
-/// NI resource limits, including the sPIN additions of Appendix B.2.1.
-#[derive(Debug, Clone, Copy)]
-pub struct NiLimits {
-    /// Maximum MEs across the portal table.
-    pub max_entries: usize,
-    /// Maximum event queues.
-    pub max_eqs: usize,
-    /// Maximum counting events.
-    pub max_cts: usize,
-    /// Maximum user-header bytes per message (sPIN).
-    pub max_user_hdr_size: usize,
-    /// Maximum payload bytes per packet (sPIN) — the MTU.
-    pub max_payload_size: usize,
-    /// Maximum HPU memory per handler installation (sPIN).
-    pub max_handler_mem: usize,
-    /// Maximum initial-state bytes copied into HPU memory (sPIN).
-    pub max_initial_state: usize,
-    /// Minimum payload-handler fragmentation unit in bytes (sPIN): payload
-    /// handler invocations are aligned to and sized in multiples of this.
-    pub min_fragmentation_limit: usize,
-    /// Maximum HPU cycles a handler may spend per payload byte (sPIN).
-    pub max_cycles_per_byte: u64,
-}
-
-impl Default for NiLimits {
-    fn default() -> Self {
-        NiLimits {
-            max_entries: 1 << 16,
-            max_eqs: 256,
-            max_cts: 4096,
-            max_user_hdr_size: 64,
-            max_payload_size: 4096,
-            max_handler_mem: 64 * 1024,
-            max_initial_state: 4096,
-            min_fragmentation_limit: 64,
-            max_cycles_per_byte: 16,
-        }
-    }
-}
+/// Maximum MEs across one NI's portal table (`max_entries` of the Portals
+/// NI limits).
+pub const MAX_ENTRIES: usize = 1 << 16;
 
 /// One portal-table entry: a match list plus flow-control state.
 #[derive(Debug, Clone)]
@@ -67,10 +29,6 @@ pub struct PortalTableEntry {
     /// effect: the host call costs core time, so headers arriving before
     /// this instant still see the entry disabled (`0` = since forever).
     pub enabled_at: u64,
-    /// EQ receiving target-side events for this entry.
-    pub eq: Option<EqHandle>,
-    /// Messages dropped while disabled.
-    pub dropped_messages: u64,
 }
 
 /// Result of presenting a message header to the NI.
@@ -87,44 +45,26 @@ pub enum HeaderDisposition {
 /// The NI state machine.
 #[derive(Debug, Clone)]
 pub struct PortalsNi {
-    limits: NiLimits,
     pts: Vec<PortalTableEntry>,
-    mds: MdTable,
     cts: CtTable,
-    eqs: Vec<EventQueue>,
 }
 
 impl PortalsNi {
     /// An NI with `num_pts` portal-table entries, all enabled and empty.
-    pub fn new(num_pts: usize, limits: NiLimits) -> Self {
+    pub fn new(num_pts: usize) -> Self {
         PortalsNi {
-            limits,
             pts: (0..num_pts)
                 .map(|_| PortalTableEntry {
                     match_list: MatchList::new(),
                     enabled: true,
                     enabled_at: 0,
-                    eq: None,
-                    dropped_messages: 0,
                 })
                 .collect(),
-            mds: MdTable::new(),
             cts: CtTable::new(),
-            eqs: Vec::new(),
         }
     }
 
-    /// Configured limits.
-    pub fn limits(&self) -> &NiLimits {
-        &self.limits
-    }
-
     // ---- portal table ----
-
-    /// Attach an EQ to a portal-table entry.
-    pub fn pt_set_eq(&mut self, pt: PtIndex, eq: EqHandle) {
-        self.pts[pt as usize].eq = eq.into();
-    }
 
     /// Re-enable an entry after flow control (PtlPTEnable), effective
     /// immediately. NIC-local re-enables (the drain policy) use this.
@@ -151,19 +91,9 @@ impl PortalsNi {
         self.pts[pt as usize].enabled
     }
 
-    /// Messages dropped at an entry so far.
-    pub fn pt_dropped(&self, pt: PtIndex) -> u64 {
-        self.pts[pt as usize].dropped_messages
-    }
-
-    /// The EQ attached to an entry.
-    pub fn pt_eq(&self, pt: PtIndex) -> Option<EqHandle> {
-        self.pts[pt as usize].eq
-    }
-
     // ---- matching ----
 
-    /// Append an ME (PtlMEAppend). Fails when `max_entries` is exhausted —
+    /// Append an ME (PtlMEAppend). Fails when [`MAX_ENTRIES`] is exhausted —
     /// symmetric to the flow-control situation, §3.2.
     pub fn me_append(
         &mut self,
@@ -172,7 +102,7 @@ impl PortalsNi {
         list: ListKind,
     ) -> Result<MeHandle, &'static str> {
         let total: usize = self.pts.iter().map(|p| p.match_list.len()).sum();
-        if total >= self.limits.max_entries {
+        if total >= MAX_ENTRIES {
             return Err("NI match-entry limit exhausted");
         }
         Ok(self.pts[pt as usize].match_list.append(me, list))
@@ -181,16 +111,6 @@ impl PortalsNi {
     /// Unlink an ME by handle.
     pub fn me_unlink(&mut self, pt: PtIndex, h: MeHandle) -> bool {
         self.pts[pt as usize].match_list.unlink(h)
-    }
-
-    /// Look up an ME.
-    pub fn me_get(&self, pt: PtIndex, h: MeHandle) -> Option<&MatchEntry> {
-        self.pts[pt as usize].match_list.get(h)
-    }
-
-    /// Mutable ME lookup.
-    pub fn me_get_mut(&mut self, pt: PtIndex, h: MeHandle) -> Option<&mut MatchEntry> {
-        self.pts[pt as usize].match_list.get_mut(h)
     }
 
     /// Number of MEs on an entry.
@@ -207,8 +127,7 @@ impl PortalsNi {
 
     /// Present a message header to a portal-table entry at time `now_ps`.
     ///
-    /// On a miss the entry is disabled (flow control) and a `PtDisabled`
-    /// event is pushed to the entry's EQ if it has one. The time gates
+    /// On a miss the entry is disabled (flow control). The time gates
     /// both the effective-enabled check (`enabled_at`) and ME visibility
     /// (`MatchEntry::active_at`): host actions whose charged call has not
     /// yet completed are invisible to the wire.
@@ -221,45 +140,20 @@ impl PortalsNi {
         req_offset: usize,
         now_ps: u64,
     ) -> HeaderDisposition {
-        let entry = &self.pts[pt as usize];
+        let entry = &mut self.pts[pt as usize];
         if !entry.enabled || now_ps < entry.enabled_at {
-            self.pts[pt as usize].dropped_messages += 1;
             return HeaderDisposition::Dropped;
         }
-        let outcome = self.pts[pt as usize]
+        match entry
             .match_list
-            .match_header(bits, source, rlength, req_offset, now_ps);
-        match outcome {
+            .match_header(bits, source, rlength, req_offset, now_ps)
+        {
             Some(m) => HeaderDisposition::Matched(Box::new(m)),
             None => {
-                self.pts[pt as usize].enabled = false;
-                self.pts[pt as usize].dropped_messages += 1;
-                if let Some(eq) = self.pts[pt as usize].eq {
-                    self.eq_push(
-                        eq,
-                        FullEvent::simple(EventKind::PtDisabled, source, bits, 0),
-                    );
-                }
+                entry.enabled = false;
                 HeaderDisposition::FlowControl
             }
         }
-    }
-
-    // ---- memory descriptors ----
-
-    /// Bind an MD.
-    pub fn md_bind(&mut self, md: MemoryDescriptor) -> MdHandle {
-        self.mds.bind(md)
-    }
-
-    /// Release an MD.
-    pub fn md_release(&mut self, h: MdHandle) -> bool {
-        self.mds.release(h)
-    }
-
-    /// Look up an MD.
-    pub fn md_get(&self, h: MdHandle) -> Option<&MemoryDescriptor> {
-        self.mds.get(h)
     }
 
     // ---- counters ----
@@ -291,30 +185,6 @@ impl PortalsNi {
     pub fn ct_append_triggered(&mut self, h: CtHandle, op: TriggeredOp) -> Vec<TriggeredAction> {
         self.cts.append_triggered(h, op)
     }
-
-    // ---- event queues ----
-
-    /// Allocate an EQ of the given capacity.
-    pub fn eq_alloc(&mut self, capacity: usize) -> EqHandle {
-        assert!(self.eqs.len() < self.limits.max_eqs, "EQ limit exhausted");
-        self.eqs.push(EventQueue::new(capacity));
-        EqHandle(self.eqs.len() as u32 - 1)
-    }
-
-    /// Push an event.
-    pub fn eq_push(&mut self, h: EqHandle, ev: FullEvent) -> bool {
-        self.eqs[h.0 as usize].push(ev)
-    }
-
-    /// Pop the oldest event.
-    pub fn eq_pop(&mut self, h: EqHandle) -> Option<FullEvent> {
-        self.eqs[h.0 as usize].pop()
-    }
-
-    /// Events waiting on a queue.
-    pub fn eq_len(&self, h: EqHandle) -> usize {
-        self.eqs[h.0 as usize].len()
-    }
 }
 
 #[cfg(test)]
@@ -324,14 +194,12 @@ mod tests {
     use crate::types::ANY_PROCESS;
 
     fn ni() -> PortalsNi {
-        PortalsNi::new(4, NiLimits::default())
+        PortalsNi::new(4)
     }
 
     #[test]
     fn match_and_flow_control() {
         let mut ni = ni();
-        let eq = ni.eq_alloc(8);
-        ni.pt_set_eq(0, eq);
         ni.me_append(
             0,
             simple_me(7, 0, ANY_PROCESS, 0, 4096, MeOptions::use_once()),
@@ -345,12 +213,9 @@ mod tests {
         let d = ni.deliver_header(0, 7, 1, 100, 0, 0);
         assert!(matches!(d, HeaderDisposition::FlowControl));
         assert!(!ni.pt_enabled(0));
-        assert_eq!(ni.eq_len(eq), 1);
-        assert_eq!(ni.eq_pop(eq).unwrap().kind, EventKind::PtDisabled);
         // Third is dropped silently.
         let d = ni.deliver_header(0, 7, 1, 100, 0, 0);
         assert!(matches!(d, HeaderDisposition::Dropped));
-        assert_eq!(ni.pt_dropped(0), 2);
         // Re-enable and repost: works again.
         ni.pt_enable(0);
         ni.me_append(
@@ -398,14 +263,8 @@ mod tests {
 
     #[test]
     fn entry_limit_enforced() {
-        let mut ni = PortalsNi::new(
-            1,
-            NiLimits {
-                max_entries: 2,
-                ..Default::default()
-            },
-        );
-        for _ in 0..2 {
+        let mut ni = PortalsNi::new(1);
+        for _ in 0..MAX_ENTRIES {
             ni.me_append(
                 0,
                 simple_me(1, 0, ANY_PROCESS, 0, 64, MeOptions::default()),
@@ -462,14 +321,5 @@ mod tests {
         let fired = ni.ct_inc(ct, 1);
         assert_eq!(fired.len(), 1);
         assert_eq!(ni.ct_get(ct).success, 1);
-    }
-
-    #[test]
-    fn md_bind_and_check() {
-        let mut ni = ni();
-        let h = ni.md_bind(MemoryDescriptor::plain(128, 64));
-        assert_eq!(ni.md_get(h).unwrap().check(0, 64), Some(128));
-        assert!(ni.md_release(h));
-        assert!(ni.md_get(h).is_none());
     }
 }

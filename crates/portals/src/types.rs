@@ -50,8 +50,6 @@ pub enum AckReq {
     None,
     /// Full ack event at the initiator when the target consumed the message.
     Ack,
-    /// Counting-only ack (increments the MD's counter).
-    CtAck,
 }
 
 /// Transport-level disposition carried by an `OpKind::Ack` packet
@@ -86,7 +84,7 @@ impl UserHeader {
         Self::default()
     }
 
-    /// Build from raw bytes (checked against `max_user_hdr_size` by the NI).
+    /// Build from raw bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
         UserHeader {
             bytes: Bytes::from(bytes),
@@ -100,11 +98,6 @@ impl UserHeader {
         bytes.extend_from_slice(&a.to_le_bytes());
         bytes.extend_from_slice(&b.to_le_bytes());
         Self::from_bytes(bytes)
-    }
-
-    /// Build from one u32 field (e.g. the RAID protocol's client id).
-    pub fn from_u32(a: u32) -> Self {
-        Self::from_bytes(a.to_le_bytes().to_vec())
     }
 
     /// Size in bytes.
@@ -133,11 +126,6 @@ impl UserHeader {
     /// runtime catches the panic and converts it, see spin-core).
     pub fn u64_at(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().expect("u64 field"))
-    }
-
-    /// Read a u32 at byte offset `off`.
-    pub fn u32_at(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[off..off + 4].try_into().expect("u32 field"))
     }
 }
 
@@ -246,8 +234,6 @@ mod tests {
         assert_eq!(h.len(), 16);
         assert_eq!(h.u64_at(0), 0xDEAD_BEEF);
         assert_eq!(h.u64_at(8), 42);
-        let g = UserHeader::from_u32(7);
-        assert_eq!(g.u32_at(0), 7);
         assert!(UserHeader::empty().is_empty());
     }
 

@@ -37,6 +37,7 @@ use spin_core::fault::{CompiledFaults, FaultEvent, FaultKind, FaultPlan};
 pub use spin_core::world::{digest, fingerprint};
 use spin_core::world::{Report, ShardMode, SimBuilder, SimOutput};
 use spin_net::TopologySpec;
+use spin_portals::ni::MAX_ENTRIES;
 use spin_sim::noise::NoiseModel;
 use spin_sim::time::Time;
 
@@ -63,11 +64,13 @@ fn ns_field(name: &str, field: std::fmt::Arguments<'_>, ns: u64) -> Result<Time,
     Ok(Time::from_ns(ns))
 }
 
-/// The largest payload any byte field of a workload may ask for: 1 GiB.
-/// The ping-pong, broadcast, saturation and RAID builders size host memory
-/// to the payload and build host-side copies of it, so a larger value
-/// allocates gigabytes before the run starts, and one near `usize::MAX`
-/// overflows a capacity or aborts the process on a failed allocation.
+/// The largest payload any byte field of a workload may ask for, and the
+/// largest key-value table: 1 GiB. The ping-pong, broadcast, saturation
+/// and RAID builders size host memory to the payload and build host-side
+/// copies of it, and a key-value server's page table grows to its highest
+/// slot written, so a larger value allocates gigabytes before or during
+/// the run, and one near `usize::MAX` overflows a capacity or aborts the
+/// process on a failed allocation.
 const MAX_BYTES: usize = 1 << 30;
 
 /// Scenario-level error: parse, validation, or expectation failure.
@@ -219,10 +222,9 @@ pub struct Impairment {
     pub background_ns: u64,
 }
 
-/// What one scheduled fault does. Mirrors
-/// [`FaultKind`](spin_core::fault::FaultKind) one-to-one; times are
-/// nanoseconds and endpoints/switches are validated against the topology
-/// at compile time.
+/// What one scheduled fault does. Mirrors [`FaultKind`] one-to-one; times
+/// are nanoseconds and endpoints/switches are validated against the
+/// topology at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultActionConfig {
     /// Down node `node`'s access link until a later `LinkUp`: every
@@ -642,15 +644,49 @@ impl ScenarioCompiler {
         Ok(())
     }
 
+    /// Gather and incast arm all their root's MEs at start, and an NI
+    /// holds at most [`MAX_ENTRIES`]: past that, `me_append` would fail
+    /// mid-run.
+    fn check_root_mes(&self, n: u32) -> Result<(), Error> {
+        let s = &self.scenario;
+        let (what, mes) = match &s.workload {
+            Workload::Gather { .. } => (
+                format!("topology declares {n} endpoints"),
+                spin_apps::gather::root_mes(n),
+            ),
+            Workload::Incast { rounds } => (
+                format!("workload.Incast.rounds = {rounds}"),
+                spin_apps::incast::root_mes(n, *rounds),
+            ),
+            _ => return Ok(()),
+        };
+        if mes > MAX_ENTRIES as u64 {
+            return Err(Error::msg(format!(
+                "scenario {:?}: {what}: the {} root would arm {mes} MEs at {n} nodes, \
+                 more than the {MAX_ENTRIES} an NI holds",
+                s.name,
+                s.workload.kind()
+            )));
+        }
+        Ok(())
+    }
+
     /// `KvInserts.slots` sizes every server's table: the slot hash divides
-    /// by it, and the table's host memory must fit a `usize`. Every key may
-    /// hash to the same server, so only `inserts <= slots` fits the table
-    /// for every seed.
+    /// by it, and the table's host memory must fit a `usize` and
+    /// [`MAX_BYTES`] (keys hash across all slots, and host memory pages in
+    /// up to the highest slot written). Every key may hash to the same
+    /// server, so only `inserts <= slots` fits the table for every seed.
     fn check_kv_slots(&self, slots: u64, inserts: usize) -> Result<(), Error> {
+        let table = slots.saturating_mul(spin_apps::kvstore::SLOT_LEN as u64);
         let why = if slots == 0 {
             "must be at least 1".to_string()
         } else if spin_apps::kvstore::mem_size(slots).is_none() {
             "sizes a table larger than the address space".to_string()
+        } else if table > MAX_BYTES as u64 {
+            format!(
+                "sizes a table of {table} bytes, over {MAX_BYTES}, the bound on \
+                 table sizes (1 GiB)"
+            )
         } else if inserts as u64 > slots {
             format!(
                 "is below workload.KvInserts.inserts = {inserts}; every key may \
@@ -720,6 +756,7 @@ impl ScenarioCompiler {
             Ok(())
         };
         self.check_layout_fits(cfg.host.mem_size, n, root)?;
+        self.check_root_mes(n)?;
         match &s.workload {
             Workload::Gather {
                 put_bytes,
@@ -1243,6 +1280,89 @@ mod tests {
                 );
                 assert_runs_or_fails_naming(&format!("{kind}.{field} = {value}"), s, Some(&want));
             }
+        }
+        let kv = |slots: u64| format!(r#"{{"KvInserts": {{"slots": {slots}, "inserts": 16}}}}"#);
+        let incast = |rounds: u32| format!(r#"{{"Incast": {{"rounds": {rounds}}}}}"#);
+        let ring = |nodes: u32| format!(r#"{{"Torus": {{"dims": [{nodes}]}}}}"#);
+        let scenario = |topology: &str, machine: &str, workload: &str| {
+            Scenario::from_json(&format!(
+                r#"{{"name": "mem", "topology": {topology}, "machine": {machine},
+                    "workload": {workload}}}"#
+            ))
+            .unwrap()
+        };
+        const TREE1024: &str = r#"{"FatTree": {"nodes": 1024, "ports": 16}}"#;
+        let max_slots = (MAX_BYTES / spin_apps::kvstore::SLOT_LEN) as u64;
+        let limit = MAX_ENTRIES as u32;
+        // One slot past the key-value table bound, and an incast root that
+        // would arm 1,024 × 100 MEs: named errors. No larger table runs: if
+        // the bound broke, 2^38 slots would ask for a 6 GB page table.
+        let over = [
+            (
+                TREE4,
+                kv(max_slots + 1),
+                format!(
+                    "workload.KvInserts.slots = {} sizes a table of {} bytes, over \
+                     {MAX_BYTES}, the bound on table sizes (1 GiB)",
+                    max_slots + 1,
+                    (max_slots + 1) * spin_apps::kvstore::SLOT_LEN as u64
+                ),
+            ),
+            (
+                TREE1024,
+                incast(100),
+                format!(
+                    "workload.Incast.rounds = 100: the incast root would arm 102400 MEs \
+                     at 1024 nodes, more than the {limit} an NI holds"
+                ),
+            ),
+        ];
+        for (topology, workload, want) in over {
+            assert_runs_or_fails_naming(
+                &workload,
+                scenario(topology, "{}", &workload),
+                Some(&want),
+            );
+        }
+        // At each bound `compile` succeeds, and one ME past the limit it
+        // fails. None of these runs: a run would page in a 1 GiB table or
+        // build a 65,536-node world.
+        let any_mem = r#"{"mem_size": 18446744073709551615}"#;
+        let past_limit = |kind: &str, what: &str| {
+            let n = limit + 1;
+            Some(format!(
+                "{what}: the {kind} root would arm {n} MEs at {n} nodes, more than the \
+                 {limit} an NI holds"
+            ))
+        };
+        let compile_only = [
+            (TREE4.to_owned(), "{}", kv(max_slots), None),
+            // 1,024 senders × 64 rounds: exactly MAX_ENTRIES MEs.
+            (TREE1024.to_owned(), "{}", incast(limit / 1024), None),
+            (ring(limit), any_mem, GATHER.to_owned(), None),
+            (
+                ring(limit + 1),
+                any_mem,
+                incast(1),
+                past_limit("incast", "workload.Incast.rounds = 1"),
+            ),
+            (
+                ring(limit + 1),
+                any_mem,
+                GATHER.to_owned(),
+                past_limit(
+                    "gather",
+                    &format!("topology declares {} endpoints", limit + 1),
+                ),
+            ),
+        ];
+        for (topology, machine, workload, want) in compile_only {
+            let compiled = ScenarioCompiler::new(scenario(&topology, machine, &workload)).compile();
+            assert_eq!(
+                compiled.map(drop).map_err(|e| e.message().to_owned()),
+                want.map_or(Ok(()), |w| Err(format!("scenario \"mem\": {w}"))),
+                "{topology} {workload}"
+            );
         }
     }
 

@@ -54,7 +54,7 @@ impl SerialResource {
         self.jobs
     }
 
-    /// Utilization in [0,1] given the makespan of the run.
+    /// Utilization in `[0, 1]` given the makespan of the run.
     pub fn utilization(&self, makespan: Time) -> f64 {
         if makespan == Time::ZERO {
             0.0

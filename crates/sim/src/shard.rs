@@ -3,11 +3,12 @@
 //! A [`ShardQueue`] holds one shard's pending events keyed by
 //! `(time, key)`, where `key` is a globally-assigned sequence number (or a
 //! shard-temporary key while a window is still executing — see
-//! spin-core's shard coordinator). Unlike [`EventQueue`](crate::engine::
-//! EventQueue), which owns its sequence counter and therefore its local
-//! notion of tie-breaking, a `ShardQueue` is deliberately dumb: the
-//! coordinator decides every key, because same-time ties must break in the
-//! *global* serial order, not in per-shard insertion order.
+//! spin-core's shard coordinator). Unlike
+//! [`EventQueue`](crate::engine::EventQueue), which owns its sequence
+//! counter and therefore its local notion of tie-breaking, a `ShardQueue`
+//! is deliberately dumb: the coordinator decides every key, because
+//! same-time ties must break in the *global* serial order, not in
+//! per-shard insertion order.
 //!
 //! A `BTreeMap` (not a heap) backs it because the merge step needs one
 //! operation a heap cannot do cheaply: [`ShardQueue::rekey`], which

@@ -146,7 +146,7 @@ impl Samples {
         }
     }
 
-    /// The q-th quantile (q in [0,1]) by nearest-rank; NaN if empty.
+    /// The q-th quantile (q in `[0, 1]`) by nearest-rank; NaN if empty.
     pub fn quantile(&mut self, q: f64) -> f64 {
         if self.values.is_empty() {
             return f64::NAN;
