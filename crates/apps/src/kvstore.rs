@@ -37,20 +37,6 @@ pub fn h2(key: u64, slots: u64) -> u64 {
     key.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) % slots
 }
 
-/// Reference insert against a slot array (host-side semantics).
-pub fn ref_insert(table: &mut [(u64, u64, u64)], key: u64, value: u64) -> Option<usize> {
-    let slots = table.len() as u64;
-    let start = h2(key, slots);
-    for probe in 0..slots {
-        let idx = ((start + probe) % slots) as usize;
-        if table[idx].0 == 0 || table[idx].1 == key {
-            table[idx] = (1, key, value);
-            return Some(idx);
-        }
-    }
-    None
-}
-
 struct Server {
     slots: u64,
 }

@@ -447,16 +447,6 @@ impl Endpoint {
             _ => None,
         }
     }
-
-    /// Receives posted but not yet completed (baseline bookkeeping).
-    pub fn posted_count(&self) -> usize {
-        self.posted.len()
-    }
-
-    /// Unexpected messages waiting for a receive.
-    pub fn unexpected_count(&self) -> usize {
-        self.unexpected.len()
-    }
 }
 
 /// Memory layout helper for matching programs: user buffers below, ring at

@@ -499,17 +499,8 @@ impl World {
                     });
                 // A probe/replay re-injection of an abandoned message may
                 // still sit in the queue as a not-yet-dispatched
-                // `NicInject` (posted at `now`): tombstone it so the
-                // abandoned send cannot transmit after its delivery
-                // failure is reported. Only retransmissions qualify
-                // (`attempt > 0`) — first sends are never queued as
-                // `NicInject` while tracked.
-                q.cancel_where(|ev| match ev {
-                    Ev::NicInject(node, m) => {
-                        *node == n && m.attempt > 0 && dropped.iter().any(|a| a.msg_id == m.msg_id)
-                    }
-                    _ => false,
-                });
+                // `NicInject`; it stops at the ghost-replay filter on top
+                // of `inject`, since the message is no longer tracked.
                 // Surface the delivery failure to the ULP
                 // (`PTL_NI_UNDELIVERABLE`): one event per abandoned message
                 // whose initiator asked for completion notification. The
@@ -843,9 +834,9 @@ mod tests {
 
     #[test]
     fn abandon_tombstones_queued_replays_of_dropped_messages() {
-        // PR 4 follow-on: a replay `NicInject` already queued when its
-        // message is abandoned must not dispatch — the tombstone in the
-        // Abandon arm removes it from the event queue.
+        // A replay `NicInject` already queued when its message is
+        // abandoned dispatches like any event, and must put nothing on the
+        // wire: the ghost-replay filter in `inject` drops it.
         use crate::config::{MachineConfig, NicKind};
         let mut config = MachineConfig::paper(NicKind::Discrete).with_recovery();
         config.recovery.as_mut().unwrap().max_probes = 1;
@@ -867,26 +858,27 @@ mod tests {
         world.on_recovery_timer(&mut q, t + Time::from_us(1), 0, 1, 0);
         assert_eq!(q.pending(), 2);
         assert!(world.nodes[0].nic.recovery.is_tracked(42));
-        // The probe bounces; max_probes = 1 abandons the episode. The
-        // queued replay must be tombstoned, not left to dispatch.
+        // The probe bounces; max_probes = 1 abandons the episode while the
+        // replay is still queued.
         world.on_recovery_nack(&mut q, t + Time::from_us(2), 0, 1, 0, 42);
         assert!(!world.nodes[0].nic.recovery.is_tracked(42));
         assert_eq!(world.nodes[0].nic.stats.recovery_abandoned, 1);
         let mut injects = 0;
-        while let Some((_, ev)) = q.pop_next() {
-            if matches!(ev, Ev::NicInject(..)) {
-                injects += 1;
-            }
+        while let Some((now, ev)) = q.pop_next() {
+            injects += usize::from(matches!(ev, Ev::NicInject(..)));
+            world.dispatch(&mut q, now, ev);
         }
-        assert_eq!(injects, 0, "abandoned replay dispatched");
+        assert_eq!(injects, 1, "the queued replay was dispatched");
+        assert_eq!(world.network.packets_sent(), 0, "abandoned replay sent");
+        assert_eq!(world.network.egress_free(0), Time::ZERO);
+        assert_eq!(world.nodes[0].nic.stats.retransmitted_bytes, 0);
     }
 
     #[test]
     fn ghost_replay_injections_are_discarded() {
-        // Defense in depth for the same hazard: an `attempt > 0`
-        // re-injection whose message is no longer recovery-tracked is
-        // dropped at the top of the send path (covers the sharded engine,
-        // whose scratch queues the tombstone cannot reach).
+        // The same hazard called directly: an `attempt > 0` re-injection
+        // whose message is no longer recovery-tracked is dropped at the
+        // top of the send path, on every engine.
         use crate::config::{MachineConfig, NicKind};
         let config = MachineConfig::paper(NicKind::Discrete).with_recovery();
         let mut world = World::new(config, 2);

@@ -22,7 +22,7 @@
 //!   authoritative ledger *partition* for its own nodes' ingress ports,
 //!   self-queues, and egress links — a consuming shard charges the incast
 //!   reservation of an inbound packet itself, when it dispatches the
-//!   [`Ev::WireSend`], with no global replay.
+//!   [`Ev::WireSend`] through [`World::hand_off`], with no global replay.
 //!
 //! Each round, shard `s` drains its inbound mailboxes into its own event
 //! queue and executes everything strictly below
@@ -50,15 +50,18 @@
 //! just not bit-identical to serial. A round's shards run on scoped
 //! threads, at most one per core (`crate::shard::for_each_shard`), and
 //! which thread runs a shard changes nothing.
+//!
+//! Set-up and wrap-up are shared with the other engines
+//! ([`World::initial_events`], `crate::shard::replicas`,
+//! `crate::shard::compose` and [`World::finish`]); this module is only the
+//! exchange-and-round loop.
 
-use crate::shard::{cores, for_each_shard, shard_of, shard_ranges};
-use crate::world::{Ev, Node, NodeStats, Report, SimBuilder, SimOutput, WirePolicy, World};
+use crate::shard::{compose, cores, for_each_shard, replicas, shard_of, shard_ranges};
+use crate::world::{Ev, SimBuilder, SimOutput, WirePolicy, World};
 use spin_portals::types::Packet;
 use spin_sim::engine::EventQueue;
-use spin_sim::gantt::Gantt;
 use spin_sim::mailbox::Mailbox;
 use spin_sim::time::Time;
-use std::collections::HashMap;
 
 /// `a + b`, saturating at [`Time::MAX`] (horizons of drained shards chain
 /// toward infinity; they must not wrap).
@@ -76,14 +79,16 @@ type WireMsg = (u32, Box<Packet>);
 struct RShard {
     world: World,
     queue: EventQueue<Ev>,
-    /// Owned ranks `[first, last)`.
-    first: u32,
-    last: u32,
     /// Inbound mailboxes, indexed by producer shard; the self slot is
     /// never delivered to or consulted.
     inbound: Vec<Mailbox<WireMsg>>,
     /// This shard's own index (to skip the self slot).
     index: usize,
+    /// Packets drained from the mailboxes, each of which becomes exactly
+    /// one [`Ev::WireSend`] dispatch. The serial engine has no such events
+    /// — it charges cross-node ingress inside the send dispatch — so the
+    /// report subtracts them to keep `events_executed` comparable.
+    wire_sends: u64,
 }
 
 impl RShard {
@@ -121,6 +126,7 @@ impl RShard {
         // Deterministic cross-pair merge: time order, producer index and
         // per-mailbox FIFO counter as tie-breaks.
         incoming.sort_by_key(|a| (a.0, a.1, a.2));
+        self.wire_sends += incoming.len() as u64;
         for (head, _, _, (dst, pkt)) in incoming {
             // head ≥ the pair's horizon at delivery time ≥ every earlier
             // safe bound this shard executed under, so this never posts
@@ -143,23 +149,19 @@ impl RShard {
     }
 }
 
-/// Run `builder` on the relaxed pairwise-horizon engine with (up to) `k`
-/// shards.
+/// Run `builder` on the relaxed pairwise-horizon engine with `k ≥ 2`
+/// shards (clamped to the node count).
 pub(crate) fn run_relaxed(builder: SimBuilder, k: usize) -> SimOutput {
     let n = builder.programs.len() as u32;
-    assert!(n > 0, "a simulation needs at least one node");
-    if k.min(n as usize) <= 1 {
-        return builder.run_serial();
-    }
-    let SimBuilder { config, programs } = builder;
-
     let ranges = shard_ranges(n, k);
     let k_eff = ranges.len();
     let chunk = ranges[0].1 - ranges[0].0;
     // A fresh fabric instance answers the pairwise-lookahead queries (it is
     // never reserved against) and becomes the final composed world's
-    // network.
-    let probe = config.build_network(n);
+    // network. Every fault effect *adds* latency or drops, never lowers a
+    // route below its base, so these horizons stay sound under any fault
+    // plan the compiler accepts.
+    let probe = builder.config.build_network(n);
     let mut delta = vec![vec![Time::ZERO; k_eff]; k_eff];
     for (s, &(sf, sl)) in ranges.iter().enumerate() {
         for (j, &(jf, jl)) in ranges.iter().enumerate() {
@@ -177,44 +179,26 @@ pub(crate) fn run_relaxed(builder: SimBuilder, k: usize) -> SimOutput {
         }
     }
 
-    let mut shards: Vec<RShard> = ranges
-        .iter()
+    let worlds = replicas(builder, &ranges, |first, last| WirePolicy::Relaxed {
+        first,
+        last,
+    });
+    let initial: Vec<(u32, Time, Ev)> = worlds[0].initial_events().collect();
+    let mut shards: Vec<RShard> = worlds
+        .into_iter()
         .enumerate()
-        .map(|(s, &(first, last))| {
-            let mut world = World::new(config.clone(), n);
-            world.wire = WirePolicy::Relaxed { first, last };
-            RShard {
-                world,
-                queue: EventQueue::new(),
-                first,
-                last,
-                // Initial promise of producer p: it has dispatched nothing
-                // yet, so nothing can arrive before δ(p→s).
-                inbound: (0..k_eff).map(|p| Mailbox::new(delta[p][s])).collect(),
-                index: s,
-            }
+        .map(|(s, world)| RShard {
+            world,
+            queue: EventQueue::new(),
+            // Initial promise of producer p: it has dispatched nothing
+            // yet, so nothing can arrive before δ(p→s).
+            inbound: (0..k_eff).map(|p| Mailbox::new(delta[p][s])).collect(),
+            index: s,
+            wire_sends: 0,
         })
         .collect();
-    for (i, p) in programs.into_iter().enumerate() {
-        let s = shard_of(i as u32, chunk);
-        shards[s].world.nodes[i].host.program = Some(p);
-        shards[s].queue.post_at(Time::ZERO, Ev::Start(i as u32));
-    }
-    // Seed the fault schedule. Crash/restart events go to the shard owning
-    // the node; the dispatch no-op kinds execute once on shard 0 (their
-    // effects are plan-static queries every replica answers identically —
-    // and every fault effect *adds* latency or drops, never lowers a route
-    // below its base, so the pairwise horizons computed above stay sound
-    // under any plan the compiler accepts).
-    if let Some(faults) = shards[0].world.faults.clone() {
-        for (i, ev) in faults.events().iter().enumerate() {
-            let owner = match ev.kind {
-                crate::fault::FaultKind::NodeCrash { node }
-                | crate::fault::FaultKind::NodeRestart { node } => shard_of(node, chunk),
-                _ => 0,
-            };
-            shards[owner].queue.post_at(ev.at, Ev::Fault(i as u32));
-        }
+    for (owner, at, ev) in initial {
+        shards[shard_of(owner, chunk)].queue.post_at(at, ev);
     }
 
     let threads = cores();
@@ -299,24 +283,13 @@ pub(crate) fn run_relaxed(builder: SimBuilder, k: usize) -> SimOutput {
         executed_before = executed_now;
     }
 
-    // Compose the final world and report from the authoritative slice of
-    // each shard. Fabric counters sum over the replica partitions — each
-    // packet is counted exactly once, at the shard owning its destination
-    // (or its self-queue). WireSend dispatches are bookkeeping the serial
-    // engine does inline, so they are subtracted from the event count.
-    let mut nodes: Vec<Node> = Vec::with_capacity(n as usize);
-    let mut gantt = Gantt::disabled();
     let mut marks: Vec<(u32, String, Time)> = Vec::new();
     let mut values: Vec<(u32, String, f64)> = Vec::new();
     let mut events_executed: u64 = 0;
     let mut end_time = Time::ZERO;
-    let mut net_packets = 0u64;
-    let mut net_bytes = 0u64;
     for shard in &mut shards {
-        events_executed += shard.queue.executed() - shard.world.wire_dispatches;
+        events_executed += shard.queue.executed() - shard.wire_sends;
         end_time = end_time.max(shard.queue.now());
-        net_packets += shard.world.network.packets_sent();
-        net_bytes += shard.world.network.bytes_sent();
         marks.append(&mut shard.world.marks);
         values.append(&mut shard.world.values);
     }
@@ -325,34 +298,11 @@ pub(crate) fn run_relaxed(builder: SimBuilder, k: usize) -> SimOutput {
     // shard-index tie-breaks — deterministic, though same-time ties may
     // order differently than the serial trace.
     marks.sort_by_key(|&(_, _, t)| t);
-    let faults = shards[0].world.faults.take();
-    for shard in shards {
-        let (first, last) = (shard.first as usize, shard.last as usize);
-        gantt.merge(shard.world.gantt);
-        nodes.extend(shard.world.nodes.into_iter().skip(first).take(last - first));
-    }
-    let report = Report {
-        end_time,
-        events_executed,
-        marks,
-        values,
-        node_stats: nodes.iter().map(NodeStats::of).collect(),
-        net_packets,
-        net_bytes,
-        links_downed_ns: faults.as_ref().map_or(0, |f| f.downtime_ns(end_time)),
-    };
-    let world = World {
-        config,
-        network: probe,
-        nodes,
-        faults,
-        gantt,
-        marks: Vec::new(),
-        values: Vec::new(),
-        link_rngs: HashMap::new(),
-        wire: WirePolicy::Direct,
-        outbox: Vec::new(),
-        wire_dispatches: 0,
-    };
-    SimOutput { report, world }
+    // Each packet was counted exactly once, on the replica owning its
+    // destination (or its self-queue); `probe` counted none.
+    let worlds = shards.into_iter().map(|shard| shard.world).collect();
+    let mut world = compose(worlds, &ranges, probe);
+    world.marks = marks;
+    world.values = values;
+    world.finish(end_time, events_executed)
 }

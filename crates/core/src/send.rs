@@ -30,10 +30,10 @@ impl World {
             msg.msg_id = self.nodes[n as usize].nic.next_msg_id(n);
         }
         // Ghost replay: a retransmission (or a fault-scheduled tail resume)
-        // whose message was abandoned after the re-injection was queued
-        // (tombstoned in the event queue, but filtered here too so both
-        // engines are covered identically). Its delivery failure was
-        // already reported — do not resurrect it.
+        // whose message was abandoned after the re-injection was queued.
+        // Its delivery failure was already reported — do not resurrect it.
+        // This one filter guards every engine alike: the queued event is
+        // dispatched and counted everywhere, and drops here.
         if (msg.attempt > 0 || msg.resume_from > 0)
             && !self.nodes[n as usize].nic.recovery.is_tracked(msg.msg_id)
         {
@@ -158,8 +158,8 @@ impl World {
         // the transfer serializes on the node's own loopback self-queue
         // ([`Network::send_packet`]), which is node-local state — invisible
         // to cross-shard lookahead, coordinator replay, and mailboxes
-        // alike. (Impairments and faults never apply to self-pairs, so
-        // `extra` and `fault_extra` are zero here.)
+        // alike. (Impairments and faults never apply to self-pairs, so a
+        // loopback packet is never dropped or delayed.)
         let loopback = msg.src == msg.dst;
         // Selective retransmission: a tail resume re-sends only packets
         // `[resume_from, total)`; the head already arrived under this same
@@ -247,7 +247,10 @@ impl World {
         } else {
             dead_from.unwrap_or(total as usize)
         };
-        let wire_extra = extra + fault_extra;
+        // A packet's head reaches the destination port `head_delay` after
+        // its transmission starts.
+        let base_latency = self.network.base_latency(msg.src, msg.dst);
+        let head_delay = base_latency + extra + fault_extra;
         let mut off = 0usize;
         let mut last_tx_end = ready;
         for i in 0..total {
@@ -267,74 +270,37 @@ impl World {
                 payload: full.slice(off, size),
                 header: Arc::clone(&header),
             };
-            if lost || (i as usize) >= cut {
-                // The bytes were transmitted — the source egress link is
-                // occupied as usual — but the fabric never delivers them:
-                // no ingress reservation, no fabric counters, no target
-                // state. `(lost)` is the impairment draw, `(dead)` a
-                // scheduled fault with the path down at this packet's
-                // charged time. Works identically under the sharded
-                // engines (the egress half is src-local and no WireSend is
-                // emitted).
-                let (tx_start, tx_end) = self.network.egress_phase(ready, msg.src, size);
-                let cause = if lost { "lost" } else { "dead" };
-                self.gantt.record(n, "NIC", tx_start, tx_end, '=', || {
-                    format!("tx m{} p{} ({cause})", msg.msg_id, i)
-                });
-                last_tx_end = tx_end;
-            } else if !loopback && self.wire == WirePolicy::Deferred {
-                // Exact sharded engine: only the egress half runs here (it
-                // is `src`-local); the ingress reservation belongs to the
-                // coordinator's ledger network, which replays it in global
-                // order when this WireSend is merged. The event time is
-                // when the packet head reaches the destination port.
-                let (tx_start, tx_end) = self.network.egress_phase(ready, msg.src, size);
-                self.gantt.record(n, "NIC", tx_start, tx_end, '=', || {
-                    format!("tx m{} p{}", msg.msg_id, i)
-                });
-                let head_at_dst =
-                    tx_start + self.network.base_latency(msg.src, msg.dst) + wire_extra;
-                q.post_at(head_at_dst, Ev::WireSend(msg.dst, Box::new(pkt)));
-            } else if !loopback
-                && matches!(self.wire, WirePolicy::Relaxed { first, last }
-                    if msg.dst < first || msg.dst >= last)
-            {
-                // Relaxed sharded engine, destination outside this shard's
-                // span: run the egress half (src-local) and park the packet
-                // in the outbox; the engine delivers it through the
-                // per-pair mailbox at the next exchange, and the consuming
-                // shard charges the ingress reservation on its own ledger
-                // partition when it dispatches the WireSend.
-                let (tx_start, tx_end) = self.network.egress_phase(ready, msg.src, size);
-                self.gantt.record(n, "NIC", tx_start, tx_end, '=', || {
-                    format!("tx m{} p{}", msg.msg_id, i)
-                });
-                let head_at_dst =
-                    tx_start + self.network.base_latency(msg.src, msg.dst) + wire_extra;
-                self.outbox.push((head_at_dst, msg.dst, Box::new(pkt)));
-            } else if !loopback && wire_extra > Time::ZERO {
-                // Impaired serial path: the split-phase composition is
-                // bit-identical to `send_packet` (pinned by the net test
-                // `phase_split_composes_to_send_packet`), with the extra
-                // delay inserted between the halves — exactly where the
-                // sharded engine inserts it.
-                let (tx_start, tx_end) = self.network.egress_phase(ready, msg.src, size);
-                self.gantt.record(n, "NIC", tx_start, tx_end, '=', || {
-                    format!("tx m{} p{}", msg.msg_id, i)
-                });
-                let head_at_dst =
-                    tx_start + self.network.base_latency(msg.src, msg.dst) + wire_extra;
-                let arrival = self.network.ingress_phase(head_at_dst, msg.dst, size);
-                q.post_at(arrival, Ev::PacketArrive(msg.dst, Box::new(pkt)));
-            } else {
+            off += size;
+            if loopback {
                 let timing = self.network.send_packet(ready, msg.src, msg.dst, size);
                 self.gantt
                     .record(n, "NIC", timing.tx_start, timing.tx_end, '=', || {
                         format!("tx m{} p{}", msg.msg_id, i)
                     });
                 q.post_at(timing.arrival, Ev::PacketArrive(msg.dst, Box::new(pkt)));
+                continue;
             }
-            off += size;
+            // The egress half is `src`-local, so it runs here in every
+            // engine. A dropped packet was transmitted — the source egress
+            // link is occupied as usual — but the fabric never delivers it:
+            // no ingress reservation, no fabric counters, no target state.
+            // `(lost)` is the impairment draw, `(dead)` a scheduled fault
+            // with the path down at this packet's charged time.
+            let dropped = lost || (i as usize) >= cut;
+            let cause = match (dropped, lost) {
+                (false, _) => "",
+                (true, true) => " (lost)",
+                (true, false) => " (dead)",
+            };
+            let (tx_start, tx_end) = self.network.egress_phase(ready, msg.src, size);
+            self.gantt.record(n, "NIC", tx_start, tx_end, '=', || {
+                format!("tx m{} p{}{cause}", msg.msg_id, i)
+            });
+            if dropped {
+                last_tx_end = tx_end;
+            } else {
+                self.hand_off(q, tx_start + head_delay, msg.dst, Box::new(pkt));
+            }
         }
         if cut < total as usize {
             let count = (total as usize - cut) as u64;
@@ -355,7 +321,7 @@ impl World {
             // report): it lands one round trip after the last byte left,
             // pays no link occupancy, and is invisible to the ledger and
             // the fabric counters.
-            let nack_at = last_tx_end + self.network.base_latency(msg.src, msg.dst) * 2;
+            let nack_at = last_tx_end + base_latency * 2;
             let nack_header = Arc::new(PtlHeader {
                 op: OpKind::Ack,
                 length: 0,
@@ -389,10 +355,36 @@ impl World {
             // it re-runs these fault checks at its own charged times, so a
             // resume into a still-dead path NACKs into a full replay,
             // bounded by the recovery probe budget.
-            let resume_at = last_tx_end + self.network.base_latency(msg.src, msg.dst) * 2;
+            let resume_at = last_tx_end + base_latency * 2;
             let mut resume = msg.clone();
             resume.resume_from = cut as u32;
             q.post_at(resume_at, Ev::NicInject(n, Box::new(resume)));
+        }
+    }
+
+    /// Hand a cross-node packet whose egress half has run to the wire; its
+    /// head reaches `dst`'s ingress port at `head`. The split phases
+    /// compose bit-identically to [`Network::send_packet`] (pinned by the
+    /// net test `phase_split_composes_to_send_packet`), and this is the one
+    /// place the engines differ, by [`WirePolicy`].
+    ///
+    /// [`Network::send_packet`]: spin_net::transfer::Network::send_packet
+    pub(crate) fn hand_off(
+        &mut self,
+        q: &mut EventQueue<Ev>,
+        head: Time,
+        dst: u32,
+        pkt: Box<Packet>,
+    ) {
+        match self.wire {
+            WirePolicy::Deferred => q.post_at(head, Ev::WireSend(dst, pkt)),
+            WirePolicy::Relaxed { first, last } if !(first..last).contains(&dst) => {
+                self.outbox.push((head, dst, pkt));
+            }
+            _ => {
+                let arrival = self.network.ingress_phase(head, dst, pkt.payload.len());
+                q.post_at(arrival, Ev::PacketArrive(dst, pkt));
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 //! Everything a dispatch does is node-local except one thing: reserving the
 //! *destination* ingress link of a cross-node packet (incast contention is
 //! global state). The shard therefore runs only the egress half of the
-//! transfer ([`World::deferred_wire`]) and emits [`Ev::WireSend`]; the
+//! transfer, and [`World::hand_off`] emits [`Ev::WireSend`]; the
 //! coordinator replays the ingress half on its **ledger network** during the
 //! serial merge, in exactly the order the serial engine would have.
 //!
@@ -37,10 +37,18 @@
 //! The shards of a window run on `std::thread::scope` threads, at most one
 //! per core ([`for_each_shard`]); which thread runs a shard changes no
 //! result.
+//!
+//! The three engines share one set-up and one wrap-up:
+//! [`World::initial_events`] lists what is posted before time starts and
+//! [`World::finish`] builds the report. The two sharded engines also share
+//! [`replicas`], which builds the shard worlds, and [`compose`], which
+//! folds them into one final world. Each engine is only its own loop:
+//! serial's `run_with`, this module's window-and-merge, and
+//! `crate::relaxed`'s exchange-and-round.
 
-use crate::world::{Ev, Node, NodeStats, Report, SimBuilder, SimOutput, WirePolicy, World};
+use crate::world::{Ev, SimBuilder, SimOutput, WirePolicy, World};
+use spin_net::transfer::Network;
 use spin_sim::engine::EventQueue;
-use spin_sim::gantt::Gantt;
 use spin_sim::shard::ShardQueue;
 use spin_sim::time::Time;
 use std::cmp::Reverse;
@@ -85,9 +93,6 @@ struct Shard {
     queue: ShardQueue<Ev>,
     /// Reused per dispatch purely to collect its posts (`drain_posts`).
     scratch: EventQueue<Ev>,
-    /// Owned ranks `[first, last)`.
-    first: u32,
-    last: u32,
     records: Vec<Record>,
     /// temp_key → index into `records`, for posts executed this window.
     temp_index: HashMap<u64, usize>,
@@ -160,6 +165,53 @@ pub(crate) fn shard_ranges(n: u32, k: usize) -> Vec<(u32, u32)> {
     ranges
 }
 
+/// One `World` replica per rank range, each with the wire policy `wire`
+/// gives its range `[first, last)`, and with every program installed on
+/// the replica that owns its rank.
+pub(crate) fn replicas(
+    builder: SimBuilder,
+    ranges: &[(u32, u32)],
+    wire: impl Fn(u32, u32) -> WirePolicy,
+) -> Vec<World> {
+    let SimBuilder { config, programs } = builder;
+    let n = programs.len() as u32;
+    let mut worlds: Vec<World> = ranges
+        .iter()
+        .map(|&(first, last)| {
+            let mut world = World::new(config.clone(), n);
+            world.wire = wire(first, last);
+            world
+        })
+        .collect();
+    let chunk = ranges[0].1 - ranges[0].0;
+    for (i, p) in programs.into_iter().enumerate() {
+        worlds[shard_of(i as u32, chunk)].nodes[i].host.program = Some(p);
+    }
+    worlds
+}
+
+/// Compose a sharded run's final world from its replicas (one per range of
+/// `ranges`, which are contiguous and ascending): the first replica, with
+/// each node taken from the replica that owns it, every replica's Gantt
+/// lanes (disjoint ranks) merged, and `network` as its fabric, with every
+/// replica's packet and byte counts folded in. Marks and values are the
+/// engine's to merge.
+pub(crate) fn compose(worlds: Vec<World>, ranges: &[(u32, u32)], mut network: Network) -> World {
+    let mut replicas = worlds.into_iter().zip(ranges);
+    let (mut world, &(_, last)) = replicas.next().expect("a sharded run has replicas");
+    network.add_counters(&world.network);
+    world.nodes.truncate(last as usize);
+    for (replica, &(first, last)) in replicas {
+        network.add_counters(&replica.network);
+        world.gantt.merge(replica.gantt);
+        let owned = replica.nodes.into_iter().take(last as usize);
+        world.nodes.extend(owned.skip(first as usize));
+    }
+    world.network = network;
+    world.wire = WirePolicy::Direct;
+    world
+}
+
 /// Threads a sharded run spreads its shards over: one per core. A run
 /// reads it once, not per window.
 pub(crate) fn cores() -> usize {
@@ -182,20 +234,13 @@ pub(crate) fn for_each_shard<S: Send>(shards: &mut [S], threads: usize, f: impl 
     });
 }
 
-/// Run `builder` on the sharded engine with (up to) `k` shards.
+/// Run `builder` on the sharded engine with `k ≥ 2` shards (clamped to
+/// the node count).
 pub(crate) fn run_sharded(builder: SimBuilder, k: usize) -> SimOutput {
     let n = builder.programs.len() as u32;
-    assert!(n > 0, "a simulation needs at least one node");
-    let k_eff = k.min(n as usize) as u32;
-    if k_eff <= 1 {
-        return builder.run_serial();
-    }
-    let SimBuilder { config, programs } = builder;
-
     // The ledger network replays every ingress reservation in global merge
-    // order; it is also the authority for fabric-wide packet/byte counters
-    // and the lookahead.
-    let mut ledger = config.build_network(n);
+    // order; it is also the authority for the lookahead.
+    let mut ledger = builder.config.build_network(n);
     let delta = ledger.min_lookahead();
     assert!(
         delta > Time::ZERO,
@@ -205,57 +250,29 @@ pub(crate) fn run_sharded(builder: SimBuilder, k: usize) -> SimOutput {
 
     // Contiguous non-empty rank ranges (see `shard_ranges` for the
     // trailing-shard clamp).
-    let ranges = shard_ranges(n, k_eff as usize);
+    let ranges = shard_ranges(n, k);
     let chunk = ranges[0].1 - ranges[0].0;
-    let mut shards: Vec<Shard> = Vec::with_capacity(ranges.len());
-    for &(first, last) in &ranges {
-        let mut world = World::new(config.clone(), n);
-        world.wire = WirePolicy::Deferred;
-        shards.push(Shard {
+    let worlds = replicas(builder, &ranges, |_, _| WirePolicy::Deferred);
+    // Every replica compiled the identical fault plan from the shared
+    // config, so any of them lists the initial events.
+    let initial: Vec<(u32, Time, Ev)> = worlds[0].initial_events().collect();
+    let mut shards: Vec<Shard> = worlds
+        .into_iter()
+        .map(|world| Shard {
             world,
             queue: ShardQueue::new(),
             scratch: EventQueue::new(),
-            first,
-            last,
             records: Vec::new(),
             temp_index: HashMap::new(),
             local_counter: 0,
-        });
-    }
-    for (i, p) in programs.into_iter().enumerate() {
-        let s = shard_of(i as u32, chunk);
-        shards[s].world.nodes[i].host.program = Some(p);
-    }
-    // Seed Start events exactly as the serial engine does: seqs 1..=n.
+        })
+        .collect();
+    // The initial events take the seqs the serial engine's queue gives
+    // them: 1, 2, … in post order.
     let mut next_seq: u64 = 0;
-    for i in 0..n {
+    for (owner, at, ev) in initial {
         next_seq += 1;
-        shards[shard_of(i, chunk)]
-            .queue
-            .push(Time::ZERO, next_seq, Ev::Start(i));
-    }
-    // Seed the fault schedule with the same seqs the serial engine assigns
-    // (continuing after the Starts). Crash/restart events go to the shard
-    // owning the node — its replica is the authority for that node's state,
-    // and events addressed to the node only ever appear in its queue. The
-    // dispatch no-op kinds go to shard 0: they still must *execute*
-    // somewhere exactly once so `events_executed` and `end_time` match the
-    // serial engine byte-for-byte (their effects are plan-static queries
-    // every replica answers identically).
-    if let Some(faults) = shards[0].world.faults.clone() {
-        // Every replica compiled the identical plan from the shared
-        // config, so event index `i` means the same event in all of them.
-        for (i, ev) in faults.events().iter().enumerate() {
-            next_seq += 1;
-            let owner = match ev.kind {
-                crate::fault::FaultKind::NodeCrash { node }
-                | crate::fault::FaultKind::NodeRestart { node } => shard_of(node, chunk),
-                _ => 0,
-            };
-            shards[owner]
-                .queue
-                .push(ev.at, next_seq, Ev::Fault(i as u32));
-        }
+        shards[shard_of(owner, chunk)].queue.push(at, next_seq, ev);
     }
 
     let mut events_executed: u64 = 0;
@@ -323,48 +340,14 @@ pub(crate) fn run_sharded(builder: SimBuilder, k: usize) -> SimOutput {
         }
     }
 
-    // Compose the final world from the authoritative slice of each shard
-    // (ranges are contiguous and ascending), the ledger network, and the
-    // per-shard Gantt recorders (disjoint ranks). The fabric counters are
-    // the ledger's (every cross-node ingress replays there exactly once)
-    // plus the shard replicas' — which only ever count loopback transfers,
-    // the one send path that stays entirely shard-local.
-    let mut nodes: Vec<Node> = Vec::with_capacity(n as usize);
-    let mut gantt = Gantt::disabled();
-    let mut loopback_packets = 0u64;
-    let mut loopback_bytes = 0u64;
-    let faults = shards[0].world.faults.take();
-    for shard in shards {
-        let (first, last) = (shard.first as usize, shard.last as usize);
-        loopback_packets += shard.world.network.packets_sent();
-        loopback_bytes += shard.world.network.bytes_sent();
-        gantt.merge(shard.world.gantt);
-        nodes.extend(shard.world.nodes.into_iter().skip(first).take(last - first));
-    }
-    let report = Report {
-        end_time,
-        events_executed,
-        marks,
-        values,
-        node_stats: nodes.iter().map(NodeStats::of).collect(),
-        net_packets: ledger.packets_sent() + loopback_packets,
-        net_bytes: ledger.bytes_sent() + loopback_bytes,
-        links_downed_ns: faults.as_ref().map_or(0, |f| f.downtime_ns(end_time)),
-    };
-    let world = World {
-        config,
-        network: ledger,
-        nodes,
-        faults,
-        gantt,
-        marks: Vec::new(),
-        values: Vec::new(),
-        link_rngs: HashMap::new(),
-        wire: WirePolicy::Direct,
-        outbox: Vec::new(),
-        wire_dispatches: 0,
-    };
-    SimOutput { report, world }
+    // Every cross-node ingress replayed on the ledger exactly once; the
+    // replicas counted only loopback transfers, the one send path that
+    // stays entirely shard-local.
+    let worlds = shards.into_iter().map(|shard| shard.world).collect();
+    let mut world = compose(worlds, &ranges, ledger);
+    world.marks = marks;
+    world.values = values;
+    world.finish(end_time, events_executed)
 }
 
 #[cfg(test)]

@@ -78,10 +78,10 @@ pub enum Ev {
     /// dispatched — the shard coordinator intercepts it, replays the
     /// ingress reservation on the ledger network in global order, and
     /// re-posts the resulting [`Ev::PacketArrive`] into `dst`'s shard.
-    /// Under the relaxed engine the *consuming* shard dispatches it
-    /// directly: the ingress reservation is charged against the shard's own
-    /// partition of the ledger (its replica network owns `dst`'s ingress
-    /// port exclusively), so no global replay is needed.
+    /// Under the relaxed engine the *consuming* shard dispatches it through
+    /// `World::hand_off`: its replica network owns `dst`'s ingress port
+    /// exclusively, so the reservation is charged there, with no global
+    /// replay.
     WireSend(u32, Box<Packet>),
     /// Apply entry `.0` of the compiled fault schedule
     /// ([`World::faults`]) at its charged time. Only crash/restart carry
@@ -114,39 +114,34 @@ pub struct World {
     /// order is engine-invariant, so impaired runs are bit-identical on
     /// the serial and sharded engines.
     pub(crate) link_rngs: HashMap<(u32, u32), SimRng>,
-    /// How `inject` completes the wire half of a cross-node packet — the
-    /// one decision that differs between the serial engine and the two
-    /// sharded engines. See [`WirePolicy`].
+    /// How [`World::hand_off`] completes the wire half of a cross-node
+    /// packet — the one decision that differs between the serial engine
+    /// and the two sharded engines. See [`WirePolicy`].
     pub(crate) wire: WirePolicy,
-    /// Relaxed sharded engine only: cross-span packets parked by `inject`
-    /// as `(head_at_dst, dst, packet)`, drained by the engine at the next
-    /// exchange point and delivered through the per-pair mailboxes.
+    /// Relaxed sharded engine only: cross-span packets parked by
+    /// [`World::hand_off`] as `(head_at_dst, dst, packet)`, drained by the
+    /// engine at the next exchange point and delivered through the
+    /// per-pair mailboxes.
     pub(crate) outbox: Vec<(Time, u32, Box<Packet>)>,
-    /// Relaxed sharded engine only: [`Ev::WireSend`] events this world
-    /// dispatched. The serial engine has no such events — cross-node
-    /// ingress is charged inside the send dispatch — so the relaxed
-    /// report subtracts these to keep `events_executed` comparable.
-    pub(crate) wire_dispatches: u64,
 }
 
-/// How [`World::inject`](crate::world::World) completes the wire half of a
-/// cross-node packet. Same-node (loopback) packets always take the direct
-/// path: the self-queue is node-local state, invisible to every sharding
-/// scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How [`World::hand_off`] completes the wire half of a cross-node packet
+/// whose egress half has run. Same-node (loopback) packets never reach it:
+/// `send_packet` serializes them on the node's own self-queue, node-local
+/// state invisible to every sharding scheme.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum WirePolicy {
-    /// Serial engine: reserve the destination ingress link inline
-    /// (`send_packet` / the split-phase impaired path).
-    #[default]
+    /// Serial engine: reserve the destination ingress link at once and post
+    /// the arrival.
     Direct,
-    /// Exact sharded engine: run only the egress half (src-local) and post
-    /// [`Ev::WireSend`]; the coordinator replays the ingress half on its
-    /// ledger network in global merge order.
+    /// Exact sharded engine: post [`Ev::WireSend`] at the head time; the
+    /// coordinator replays the ingress half on its ledger network in global
+    /// merge order.
     Deferred,
     /// Relaxed sharded engine for the shard owning ranks `[first, last)`:
-    /// packets to owned destinations take the direct path on the shard's
-    /// own ledger partition; packets leaving the span run the egress half
-    /// and park in [`World::outbox`] for mailbox delivery.
+    /// packets to owned destinations are charged as under `Direct`, on the
+    /// shard's own ledger partition; packets leaving the span park in
+    /// [`World::outbox`] for mailbox delivery.
     Relaxed {
         /// First owned rank.
         first: u32,
@@ -192,7 +187,47 @@ impl World {
             link_rngs: HashMap::new(),
             wire: WirePolicy::Direct,
             outbox: Vec::new(),
-            wire_dispatches: 0,
+        }
+    }
+
+    /// The events every engine posts before time starts, in the serial
+    /// engine's post order: a `Start` per rank, then a `Fault` per plan
+    /// entry. Each comes with the rank whose shard runs it: crash and
+    /// restart on the node's own (its replica owns the node's state); every
+    /// other fault kind, a dispatch no-op that must still execute exactly
+    /// once to keep event counts and end times serial, on rank 0's.
+    pub(crate) fn initial_events(&self) -> impl Iterator<Item = (u32, Time, Ev)> + '_ {
+        let starts = (0..self.nodes.len() as u32).map(|n| (n, Time::ZERO, Ev::Start(n)));
+        let faults = self
+            .faults
+            .iter()
+            .flat_map(|plan| plan.events().iter().enumerate());
+        starts.chain(faults.map(|(i, ev)| {
+            let owner = match ev.kind {
+                FaultKind::NodeCrash { node } | FaultKind::NodeRestart { node } => node,
+                _ => 0,
+            };
+            (owner, ev.at, Ev::Fault(i as u32))
+        }))
+    }
+
+    /// Wrap up a run that ended at `end_time` after `events_executed`
+    /// dispatches: build the [`Report`] from this world's marks, values,
+    /// nodes, fabric counters and fault plan, and return it with the world.
+    pub(crate) fn finish(mut self, end_time: Time, events_executed: u64) -> SimOutput {
+        let report = Report {
+            end_time,
+            events_executed,
+            marks: std::mem::take(&mut self.marks),
+            values: std::mem::take(&mut self.values),
+            node_stats: self.nodes.iter().map(NodeStats::of).collect(),
+            net_packets: self.network.packets_sent(),
+            net_bytes: self.network.bytes_sent(),
+            links_downed_ns: self.faults.as_ref().map_or(0, |f| f.downtime_ns(end_time)),
+        };
+        SimOutput {
+            report,
+            world: self,
         }
     }
 
@@ -286,22 +321,10 @@ impl World {
             }
             Ev::RecoveryTimer(n, peer, pt) => self.on_recovery_timer(q, now, n, peer, pt),
             Ev::DrainCheck(n, pt) => self.on_drain_check(q, now, n, pt),
-            Ev::WireSend(dst, pkt) => {
-                // Only the relaxed sharded engine posts WireSend into a
-                // dispatchable queue; the exact engine's coordinator
-                // intercepts them before they can get here.
-                assert!(
-                    matches!(self.wire, WirePolicy::Relaxed { .. }),
-                    "WireSend dispatched outside the relaxed sharded engine"
-                );
-                // `now` is when the packet head reached dst's ingress port;
-                // this shard owns that port exclusively, so the incast
-                // reservation is charged on its own ledger partition.
-                let bytes = pkt.payload.len();
-                let arrival = self.network.ingress_phase(now, dst, bytes);
-                q.post_at(arrival, Ev::PacketArrive(dst, pkt));
-                self.wire_dispatches += 1;
-            }
+            // Only the relaxed engine dispatches WireSend (the exact
+            // engine's coordinator intercepts it): `now` is when the packet
+            // head reached dst's ingress port, which this shard owns.
+            Ev::WireSend(dst, pkt) => self.hand_off(q, now, dst, pkt),
         }
     }
 
@@ -548,9 +571,9 @@ pub struct Report {
 }
 
 impl NodeStats {
-    /// Snapshot the reportable statistics of one node's final state. Both
-    /// engines build their reports through this, so the serial and sharded
-    /// paths cannot drift apart field-by-field.
+    /// Snapshot the reportable statistics of one node's final state. Every
+    /// engine builds its report through [`World::finish`], which calls
+    /// this, so the engines cannot drift apart field by field.
     pub(crate) fn of(node: &Node) -> NodeStats {
         NodeStats {
             dma_bytes: node.nic.dma.bytes_total(),
@@ -605,11 +628,6 @@ impl Report {
             .filter(|(_, l, _)| l == label)
             .map(|(r, _, t)| (*r, *t))
             .collect()
-    }
-
-    /// The latest mark with this label across ranks.
-    pub fn last_mark(&self, label: &str) -> Option<Time> {
-        self.marks_labeled(label).iter().map(|&(_, t)| t).max()
     }
 
     /// The first value with this label on this rank.
@@ -794,6 +812,9 @@ impl SimBuilder {
     /// serial (see `crate::shard`), `Relaxed` keeps the count-stable view
     /// [`delivery_digest`] (see `crate::relaxed`).
     pub fn run_with_shards_mode(self, k: usize, mode: ShardMode) -> SimOutput {
+        if k.min(self.programs.len()) <= 1 {
+            return self.run_serial();
+        }
         match mode {
             ShardMode::Exact => crate::shard::run_sharded(self, k),
             ShardMode::Relaxed => crate::relaxed::run_relaxed(self, k),
@@ -810,26 +831,11 @@ impl SimBuilder {
             world.nodes[i].host.program = Some(p);
         }
         let mut engine: Engine<Ev> = Engine::new();
-        for i in 0..n {
-            engine.queue_mut().post_at(Time::ZERO, Ev::Start(i));
-        }
-        if let Some(faults) = &world.faults {
-            for (i, ev) in faults.events().iter().enumerate() {
-                engine.queue_mut().post_at(ev.at, Ev::Fault(i as u32));
-            }
+        for (_, at, ev) in world.initial_events() {
+            engine.queue_mut().post_at(at, ev);
         }
         let end = engine.run_with(|q, now, ev| world.dispatch(q, now, ev));
-        let report = Report {
-            end_time: end,
-            events_executed: engine.executed(),
-            marks: std::mem::take(&mut world.marks),
-            values: std::mem::take(&mut world.values),
-            node_stats: world.nodes.iter().map(NodeStats::of).collect(),
-            net_packets: world.network.packets_sent(),
-            net_bytes: world.network.bytes_sent(),
-            links_downed_ns: world.faults.as_ref().map_or(0, |f| f.downtime_ns(end)),
-        };
-        SimOutput { report, world }
+        world.finish(end, engine.executed())
     }
 }
 

@@ -53,14 +53,6 @@ impl HpuConfig {
     pub fn paper() -> Self {
         Self::default()
     }
-
-    /// A NIC with `cores` HPUs, other settings default.
-    pub fn with_cores(cores: usize) -> Self {
-        HpuConfig {
-            cores,
-            ..Self::default()
-        }
-    }
 }
 
 /// One admitted handler execution.

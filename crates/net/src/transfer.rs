@@ -198,6 +198,14 @@ impl Network {
     pub fn bytes_sent(&self) -> u64 {
         self.bytes
     }
+
+    /// Add `other`'s packet and byte counts to this fabric's. A sharded run
+    /// keeps its counts on several fabric replicas and folds them into one
+    /// at the end.
+    pub fn add_counters(&mut self, other: &Network) {
+        self.packets += other.packets;
+        self.bytes += other.bytes;
+    }
 }
 
 #[cfg(test)]

@@ -48,8 +48,8 @@ use spin_sim::time::Time;
 /// the clock (a message's latency, jitter, background draw and degrade
 /// latency; a fault's `at_ns`; a sender's next interval), so no field and
 /// no single step can overflow `Time`. Thousands of hour-long steps in a
-/// row still can: bounding a count times a delay is left to the workload
-/// size checks.
+/// row still can: a count times a delay needs a bound of its own, such as
+/// [`MAX_SCHEDULE_NS`] on a `Saturate` sender's schedule.
 const MAX_NS: u64 = 3_600 * 1_000_000_000;
 
 /// Translate nanosecond field `field` of scenario `name` to simulated time,
@@ -63,6 +63,13 @@ fn ns_field(name: &str, field: std::fmt::Arguments<'_>, ns: u64) -> Result<Time,
     }
     Ok(Time::from_ns(ns))
 }
+
+/// The longest send schedule a `Saturate` sender may ask for, in
+/// nanoseconds: 1,000 simulated hours. Each sender posts `messages` sends
+/// one `interval_ns` apart, so its last send is due after their product;
+/// at about a fifth of `Time`'s range this leaves room for every
+/// message's own delays, each at most [`MAX_NS`].
+const MAX_SCHEDULE_NS: u64 = 1_000 * MAX_NS;
 
 /// The largest payload any byte field of a workload may ask for, and the
 /// largest key-value table: 1 GiB. The ping-pong, broadcast, saturation
@@ -714,14 +721,31 @@ impl ScenarioCompiler {
         Ok(bytes)
     }
 
-    /// `Saturate`'s injection interval and service time as simulated time.
-    fn saturate_times(&self, interval_ns: u64, service_ns: u64) -> Result<(Time, Time), Error> {
+    /// `Saturate`'s injection interval and service time as simulated time;
+    /// fails when either exceeds [`MAX_NS`] or a sender's schedule,
+    /// `messages × interval_ns`, exceeds [`MAX_SCHEDULE_NS`].
+    fn saturate_times(
+        &self,
+        messages: u32,
+        interval_ns: u64,
+        service_ns: u64,
+    ) -> Result<(Time, Time), Error> {
         let name = &self.scenario.name;
         let ns = |field: &str, ns| ns_field(name, format_args!("workload.Saturate.{field}"), ns);
-        Ok((
+        let times = (
             ns("interval_ns", interval_ns)?,
             ns("service_ns", service_ns)?,
-        ))
+        );
+        // In u128, since `u32::MAX × MAX_NS` overflows u64.
+        let schedule = u128::from(messages) * u128::from(interval_ns);
+        if schedule > u128::from(MAX_SCHEDULE_NS) {
+            return Err(Error::msg(format!(
+                "scenario {name:?}: workload.Saturate.messages × interval_ns = \
+                 {messages} × {interval_ns} = {schedule} exceeds {MAX_SCHEDULE_NS}, \
+                 the bound on a sender's send schedule (1,000 simulated hours)"
+            )));
+        }
+        Ok(times)
     }
 
     /// Compile to a ready-to-run builder.
@@ -820,7 +844,8 @@ impl ScenarioCompiler {
                 mode,
             } => {
                 fixed_root("saturation")?;
-                let (interval, service) = self.saturate_times(*interval_ns, *service_ns)?;
+                let (interval, service) =
+                    self.saturate_times(*messages, *interval_ns, *service_ns)?;
                 let params = spin_apps::saturate::SaturateParams {
                     senders: n - 1,
                     messages: *messages,
@@ -1442,6 +1467,35 @@ mod tests {
                 )
             });
             assert_runs_or_fails_naming(&what, s, want.as_deref());
+        }
+    }
+
+    #[test]
+    fn saturate_schedules_are_a_run_or_a_named_error_never_a_panic() {
+        // One sender on a 2-node tree sends `messages` one hour apart; past
+        // 1,000 hours the schedule is refused, since a few thousand hourly
+        // sends wrap `Time`.
+        let hour = MAX_NS;
+        let schedule = |messages: u32| {
+            Scenario::from_json(&format!(
+                r#"{{"name": "ns", "topology": {{"FatTree": {{"nodes": 2, "ports": 4}}}},
+                    "workload": {{"Saturate": {{"messages": {messages}, "bytes": 64,
+                    "interval_ns": {hour}, "service_ns": 100, "mode": "Rdma"}}}}}}"#
+            ))
+            .unwrap()
+        };
+        let over = |messages: u32| {
+            let product = u128::from(messages) * u128::from(hour);
+            format!(
+                "workload.Saturate.messages × interval_ns = {messages} × {hour} = {product} \
+                 exceeds {MAX_SCHEDULE_NS}, the bound on a sender's send schedule \
+                 (1,000 simulated hours)"
+            )
+        };
+        assert_runs_or_fails_naming("1,000 hourly sends", schedule(1_000), None);
+        for messages in [1_001, 6_000, u32::MAX] {
+            let want = over(messages);
+            assert_runs_or_fails_naming(&want, schedule(messages), Some(&want));
         }
     }
 

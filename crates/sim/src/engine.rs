@@ -6,9 +6,9 @@
 //! execute in insertion order and every simulation is reproducible.
 //!
 //! The engine is generic over the event payload `E`. Dispatch happens
-//! through a closure ([`Engine::run_with`], [`Engine::run_until`]) so that
-//! the crate that owns the world — `spin-core` — can match on its own event
-//! enum without this crate knowing anything about NICs or hosts.
+//! through a closure ([`Engine::run_with`]) so that the crate that owns the
+//! world — `spin-core` — can match on its own event enum without this crate
+//! knowing anything about NICs or hosts.
 //!
 //! Pending events live in the standard-library `BinaryHeap` (O(log n)
 //! post/pop), ordered by one packed `u128` key, `(time_ps << 64) | seq`.
@@ -150,24 +150,6 @@ impl<E> EventQueue<E> {
         Some((time, s.event))
     }
 
-    /// Like [`EventQueue::pop_next`], but leaves the queue untouched (and
-    /// the clock where it is) when the earliest event is after `deadline`.
-    fn pop_next_before(&mut self, deadline: Time) -> Option<(Time, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop_next(),
-            _ => None,
-        }
-    }
-
-    /// Advance the clock to `t` without dispatching (used by
-    /// [`Engine::run_until`] so a deadline leaves `now` at the deadline,
-    /// never before it).
-    fn advance_to(&mut self, t: Time) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
     /// Reset the clock to `t` so the queue can be reused as a scratch
     /// post-buffer for the next dispatch (the sharded engine hands one
     /// scratch queue to `dispatch` per event and drains it afterwards).
@@ -196,16 +178,6 @@ impl<E> EventQueue<E> {
         let mut posts: Vec<_> = self.pending.drain().collect();
         posts.sort_unstable_by_key(Scheduled::seq);
         posts.into_iter().map(|s| (s.time(), s.event)).collect()
-    }
-
-    /// Remove every pending event matching `pred`, returning how many were
-    /// cancelled. Survivors keep their `(time, seq)` order. Used when a
-    /// model-level episode is abandoned and its queued follow-ups must
-    /// never dispatch.
-    pub fn cancel_where(&mut self, mut pred: impl FnMut(&E) -> bool) -> usize {
-        let before = self.pending.len();
-        self.pending.retain(|s| !pred(&s.event));
-        before - self.pending.len()
     }
 
     /// The earliest pending timestamp, if any (the clock does not move).
@@ -274,36 +246,6 @@ impl<E> Engine<E> {
                 );
             }
         }
-        self.queue.now()
-    }
-
-    /// Run until the queue is empty or `deadline` passes; events scheduled
-    /// after the deadline stay queued.
-    ///
-    /// Time semantics: on return the clock reads exactly `deadline` — the
-    /// simulation has observed "nothing else happens up to the deadline",
-    /// so code resuming afterwards may schedule anywhere in
-    /// `(deadline, ∞)` but never before it (any still-pending events are
-    /// strictly later than the deadline). Returns the clock.
-    ///
-    /// The `max_events` safety valve applies here exactly as in
-    /// [`Engine::run_with`].
-    pub fn run_until(
-        &mut self,
-        deadline: Time,
-        mut f: impl FnMut(&mut EventQueue<E>, Time, E),
-    ) -> Time {
-        while let Some((now, ev)) = self.queue.pop_next_before(deadline) {
-            f(&mut self.queue, now, ev);
-            if self.max_events != 0 && self.queue.executed() > self.max_events {
-                panic!(
-                    "event limit exceeded ({} events executed, {} pending) — runaway simulation?",
-                    self.queue.executed(),
-                    self.queue.pending()
-                );
-            }
-        }
-        self.queue.advance_to(deadline);
         self.queue.now()
     }
 }
@@ -392,54 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
-        let mut engine = Engine::new();
-        for i in 1..=10u64 {
-            engine.queue_mut().post_at(Time::from_ns(i * 10), i);
-        }
-        let mut seen = Vec::new();
-        let end = engine.run_until(Time::from_ns(55), |_, _, ev| seen.push(ev));
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(engine.queue.pending(), 5);
-        // The clock reads the deadline, not the last dispatched event.
-        assert_eq!(end, Time::from_ns(55));
-        assert_eq!(engine.now(), Time::from_ns(55));
-        // Resuming picks up the remaining events.
-        let end = engine.run_until(Time::from_ns(1000), |_, _, ev| seen.push(ev));
-        assert_eq!(seen.len(), 10);
-        assert_eq!(end, Time::from_ns(1000));
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_queue_drains_early() {
-        let mut engine: Engine<u32> = Engine::new();
-        engine.queue_mut().post_at(Time::from_ns(5), 1);
-        let end = engine.run_until(Time::from_ns(100), |_, _, _| {});
-        assert_eq!(end, Time::from_ns(100));
-        // Post-deadline code cannot schedule before the deadline.
-        engine.queue_mut().post_at(Time::from_ns(100), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    fn run_until_forbids_scheduling_before_deadline_afterwards() {
-        let mut engine: Engine<u32> = Engine::new();
-        engine.queue_mut().post_at(Time::from_ns(5), 1);
-        engine.run_until(Time::from_ns(100), |_, _, _| {});
-        engine.queue_mut().post_at(Time::from_ns(50), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "event limit exceeded")]
-    fn run_until_enforces_event_limit() {
-        let mut engine = Engine::with_limit(100);
-        engine.queue_mut().post_at(Time::ZERO, 0u32);
-        engine.run_until(Time::from_us(1000), |q, _, ev| {
-            q.post_in(Time::from_ns(1), ev);
-        });
-    }
-
-    #[test]
     fn far_future_jump_preserves_clock_and_order() {
         let mut engine = Engine::new();
         engine.queue_mut().post_at(Time::from_ns(1), 1u32);
@@ -462,32 +356,6 @@ mod tests {
             ]
         );
         assert_eq!(end, Time::from_us(1_000_000) + Time::from_ns(3));
-    }
-
-    #[test]
-    fn run_until_across_rotations_leaves_clock_at_each_deadline() {
-        // Deadlines that land between events, on an event's time, and
-        // inside long empty stretches; posting between calls must stay
-        // legal at exactly the deadline.
-        let mut engine = Engine::new();
-        for i in 0..50u64 {
-            engine
-                .queue_mut()
-                .post_at(Time::from_ps(i * 700 + 3), i as u32);
-        }
-        let mut seen = Vec::new();
-        for deadline_ps in [0u64, 1024, 1025, 9_000, 9_001, 100_000, 200_000] {
-            let end = engine.run_until(Time::from_ps(deadline_ps), |_, _, ev| seen.push(ev));
-            assert_eq!(end, Time::from_ps(deadline_ps));
-            assert_eq!(engine.now(), Time::from_ps(deadline_ps));
-            // Scheduling exactly at the deadline is always legal.
-            engine
-                .queue_mut()
-                .post_at(Time::from_ps(deadline_ps), 1000 + seen.len() as u32);
-            engine.run_until(Time::from_ps(deadline_ps), |_, _, ev| seen.push(ev));
-        }
-        engine.run_with(|_, _, ev| seen.push(ev));
-        assert_eq!(seen.len(), 50 + 7, "every event dispatched once");
     }
 
     #[test]
@@ -551,24 +419,5 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         q.restart_at(Time::from_ns(10));
         q.restart_at(Time::from_ns(5));
-    }
-
-    #[test]
-    fn cancel_where_tombstones_matching_events() {
-        let mut q = EventQueue::new();
-        for i in 0..10u32 {
-            q.post_at(Time::from_ns(u64::from(i % 4)), i);
-        }
-        let cancelled = q.cancel_where(|e| e % 2 == 1);
-        assert_eq!(cancelled, 5);
-        assert_eq!(q.pending(), 5);
-        // Survivors keep (time, seq) order; cancelling nothing is a no-op
-        // returning 0.
-        assert_eq!(q.cancel_where(|_| false), 0);
-        let mut seen = Vec::new();
-        while let Some((_, e)) = q.pop_next() {
-            seen.push(e);
-        }
-        assert_eq!(seen, vec![0, 4, 8, 2, 6]);
     }
 }

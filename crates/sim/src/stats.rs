@@ -1,6 +1,5 @@
 //! Online statistics and series collection for experiment reports.
 
-use crate::time::Time;
 use serde::{Deserialize, Serialize};
 
 /// Welford-style online mean/variance plus min/max, for summarizing
@@ -34,11 +33,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Add a time sample in nanoseconds.
-    pub fn push_time(&mut self, t: Time) {
-        self.push(t.ns());
     }
 
     /// Sample count.

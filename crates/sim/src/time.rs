@@ -83,11 +83,6 @@ impl Time {
     pub fn us(self) -> f64 {
         self.0 as f64 / US as f64
     }
-    /// Value in seconds (lossy).
-    #[inline]
-    pub fn secs(self) -> f64 {
-        self.0 as f64 / SEC as f64
-    }
 
     /// Saturating subtraction; useful for "how much later" questions.
     #[inline]

@@ -9,7 +9,7 @@
 use spin_core::config::{MachineConfig, NicKind};
 use spin_core::fault::{FaultKind, FaultPlan};
 use spin_core::host::{HostApi, HostProgram, MeSpec, PutArgs};
-use spin_core::world::{Report, ShardMode, SimBuilder};
+use spin_core::world::{Report, ShardMode, SimBuilder, SimOutput};
 use spin_sim::time::Time;
 
 pub const MTU: usize = 4096;
@@ -94,6 +94,16 @@ pub fn plans_from(n: u32, specs: &[(u8, u64, u64)]) -> Vec<Vec<PlannedOp>> {
 /// Run one case: serial when `shards <= 1`, else the sharded engine in the
 /// given mode.
 pub fn run_case_mode(n: u32, plans: &[Vec<PlannedOp>], shards: usize, mode: ShardMode) -> Report {
+    run_output_mode(n, plans, shards, mode).report
+}
+
+/// [`run_case_mode`], returning the final world with the report.
+pub fn run_output_mode(
+    n: u32,
+    plans: &[Vec<PlannedOp>],
+    shards: usize,
+    mode: ShardMode,
+) -> SimOutput {
     let mut config = MachineConfig::paper(NicKind::Integrated);
     config.net.switch_ports = 4; // multi-level tree even at small n
     SimBuilder::new(config)
@@ -103,7 +113,17 @@ pub fn run_case_mode(n: u32, plans: &[Vec<PlannedOp>], shards: usize, mode: Shar
             })
         })
         .run_with_shards_mode(shards, mode)
-        .report
+}
+
+/// Assert that the final world's fabric counts every packet and byte the
+/// report does: a sharded run folds its replicas' counts into one fabric.
+pub fn assert_fabric_matches_report(out: &SimOutput, what: &str) {
+    let network = &out.world.network;
+    assert_eq!(
+        (network.packets_sent(), network.bytes_sent()),
+        (out.report.net_packets, out.report.net_bytes),
+        "{what}: final fabric counters differ from the report"
+    );
 }
 
 /// Run one case on the serial engine (`shards <= 1`) or the exact sharded

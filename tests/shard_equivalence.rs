@@ -27,7 +27,10 @@
 
 mod common;
 
-use common::{plans_from, run_case, PlannedOp, TrafficNode, MTU};
+use common::{
+    assert_fabric_matches_report, plans_from, run_case, run_output_mode, PlannedOp, TrafficNode,
+    MTU,
+};
 use proptest::collection;
 use proptest::prelude::*;
 use spin_core::config::{MachineConfig, NicKind};
@@ -103,7 +106,8 @@ fn same_time_cross_shard_ties_reproduce_serial_order() {
 /// the lookahead window and the coordinator's ingress ledger — so a
 /// workload mixing self puts (acked and plain, multi-packet), self gets,
 /// and cross-node traffic must produce byte-identical reports at 1, 2,
-/// and 4 shards.
+/// and 4 shards, and a final world whose fabric counts what the report
+/// counts.
 #[test]
 fn loopback_workload_is_shard_invariant() {
     let n = 6u32;
@@ -142,10 +146,16 @@ fn loopback_workload_is_shard_invariant() {
             ]
         })
         .collect();
-    let serial = format!("{:?}", run_case(n, &plans, 1));
+    let serial = run_output_mode(n, &plans, 1, ShardMode::Exact);
+    assert_fabric_matches_report(&serial, "serial");
     for shards in [2usize, 4] {
-        let sharded = format!("{:?}", run_case(n, &plans, shards));
-        assert_eq!(serial, sharded, "loopback diverged at {shards} shards");
+        let sharded = run_output_mode(n, &plans, shards, ShardMode::Exact);
+        assert_eq!(
+            format!("{:?}", serial.report),
+            format!("{:?}", sharded.report),
+            "loopback diverged at {shards} shards"
+        );
+        assert_fabric_matches_report(&sharded, &format!("{shards} exact shards"));
     }
     // Not vacuous: every rank moved loopback and cross-node traffic.
     let report = run_case(n, &plans, 4);

@@ -33,7 +33,10 @@
 
 mod common;
 
-use common::{plans_from, run_case_mode, PlannedOp, TrafficNode, MTU};
+use common::{
+    assert_fabric_matches_report, plans_from, run_case_mode, run_output_mode, PlannedOp,
+    TrafficNode, MTU,
+};
 use proptest::collection;
 use proptest::prelude::*;
 use spin_core::config::{MachineConfig, NicKind};
@@ -137,7 +140,8 @@ fn relaxed_survives_the_same_time_incast_storm() {
 }
 
 /// Loopback does not panic under the relaxed engine either: self sends are
-/// node-local in every mode.
+/// node-local in every mode. The final world's fabric counts what the
+/// report counts, on both engines.
 #[test]
 fn relaxed_handles_loopback_workloads() {
     let n = 4u32;
@@ -159,14 +163,20 @@ fn relaxed_handles_loopback_workloads() {
             ]
         })
         .collect();
-    let serial = run_case_mode(n, &plans, 1, ShardMode::Exact);
-    let relaxed = run_case_mode(n, &plans, 4, ShardMode::Relaxed);
+    let serial = run_output_mode(n, &plans, 1, ShardMode::Exact);
+    let relaxed = run_output_mode(n, &plans, 4, ShardMode::Relaxed);
     assert_eq!(
-        delivery_fingerprint(&serial),
-        delivery_fingerprint(&relaxed),
+        delivery_fingerprint(&serial.report),
+        delivery_fingerprint(&relaxed.report),
         "loopback counts diverged"
     );
-    assert_end_time_close(serial.end_time, relaxed.end_time, "loopback at 4 shards");
+    assert_end_time_close(
+        serial.report.end_time,
+        relaxed.report.end_time,
+        "loopback at 4 shards",
+    );
+    assert_fabric_matches_report(&serial, "serial");
+    assert_fabric_matches_report(&relaxed, "4 relaxed shards");
 }
 
 /// Zero lookahead is rejected by the relaxed engine too: a pairwise
