@@ -266,6 +266,7 @@ pub fn builder(
 mod tests {
     use super::*;
     use spin_core::config::NicKind;
+    use spin_hpu::memory::HOST_PAGE;
 
     fn cfg() -> MachineConfig {
         MachineConfig::paper(NicKind::Integrated)
@@ -284,6 +285,24 @@ mod tests {
         let out = run_full(cfg(), PingPongMode::SpinStream, 10_000, 1);
         let got = out.world.nodes[0].mem.read(PONG_OFF, 10_000).unwrap();
         assert!(got.iter().enumerate().all(|(i, &b)| b == (i % 253) as u8));
+    }
+
+    #[test]
+    fn streamed_pongs_land_as_the_clients_own_ping_pages() {
+        // The server forwards each ping packet with put-from-device, which
+        // sends the packet buffer itself, and the packet is one whole page
+        // of the client's ping region; so the pong deposit adopts that page
+        // instead of copying it.
+        let bytes = 3 * HOST_PAGE;
+        let out = run_full(cfg(), PingPongMode::SpinStream, bytes, 3);
+        let mem = &out.world.nodes[0].mem;
+        for page in 0..3 {
+            let at = page * HOST_PAGE;
+            let ping = mem.read_bytes(PING_OFF + at, HOST_PAGE).unwrap();
+            let pong = mem.read_bytes(PONG_OFF + at, HOST_PAGE).unwrap();
+            assert_eq!(pong.as_ptr(), ping.as_ptr(), "page {page} is shared");
+            assert_eq!(&pong[..], &ping[..]);
+        }
     }
 
     #[test]

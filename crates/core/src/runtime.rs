@@ -164,16 +164,19 @@ impl NodeCtx<'_> {
         self.deliver_event(q, t, ev);
     }
 
-    /// Execute one handler on `core`: set up the sandboxed [`HandlerCtx`],
-    /// run the body, charge HPU occupancy, record the Gantt span (lane and
-    /// label built only when recording), and feed the handler's side
-    /// effects back into the event queue.
+    /// Execute one handler on `core`: set up the sandboxed [`HandlerCtx`]
+    /// (with the packet buffer of a payload run, so the handler's puts and
+    /// DMA writes can share its bytes), run the body, charge HPU occupancy,
+    /// record the Gantt span (lane and label built only when recording),
+    /// and feed the handler's side effects back into the event queue.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_common<R>(
         &mut self,
         q: &mut EventQueue<Ev>,
         core: usize,
         ready: Time,
         env: HandlerEnv,
+        packet: Option<&Bytes>,
         kind: &'static str,
         body: impl FnOnce(&mut HandlerCtx<'_>, &mut HpuMemory) -> Result<R, Segv>,
     ) -> (Time, Result<R, Segv>) {
@@ -193,6 +196,9 @@ impl NodeCtx<'_> {
             env.handler_region,
             self.mtu,
         );
+        if let Some(packet) = packet {
+            ctx.set_packet(packet);
+        }
         let ret = body(&mut ctx, state);
         let run = ctx.finish();
         let occupancy = if self.yield_on_dma {
@@ -225,7 +231,8 @@ impl NodeCtx<'_> {
     ) -> (Time, Result<HeaderRet, Segv>) {
         self.stats.header_runs += 1;
         let header = std::sync::Arc::clone(&ch.header);
-        self.run_common(q, core, ready, HandlerEnv::of(ch), "hdr", |ctx, state| {
+        let env = HandlerEnv::of(ch);
+        self.run_common(q, core, ready, env, None, "hdr", |ctx, state| {
             let args = HeaderArgs { header: &header };
             hs.header(ctx, &args, state)
         })
@@ -245,7 +252,7 @@ impl NodeCtx<'_> {
         msg_length: usize,
     ) -> (Time, Result<PayloadRet, Segv>) {
         self.stats.payload_runs += 1;
-        self.run_common(q, core, ready, env, "pay", |ctx, state| {
+        self.run_common(q, core, ready, env, Some(data), "pay", |ctx, state| {
             let args = PayloadArgs {
                 data,
                 offset: data_off,
@@ -279,7 +286,8 @@ impl NodeCtx<'_> {
             dropped_bytes: ch.dropped_bytes,
             flow_control_triggered: ch.flow_control,
         };
-        self.run_common(q, core, ready, HandlerEnv::of(ch), "cpl", |ctx, state| {
+        let env = HandlerEnv::of(ch);
+        self.run_common(q, core, ready, env, None, "cpl", |ctx, state| {
             hs.completion(ctx, &info, state)
         })
     }

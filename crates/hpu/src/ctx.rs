@@ -181,6 +181,9 @@ pub struct HandlerCtx<'a> {
     max_payload: usize,
     actions: Vec<(Time, OutAction)>,
     nb_dma: Vec<Time>,
+    /// The packet buffer of a payload run; `None` for header and
+    /// completion runs.
+    packet: Option<&'a Bytes>,
 }
 
 impl<'a> HandlerCtx<'a> {
@@ -212,9 +215,19 @@ impl<'a> HandlerCtx<'a> {
             max_payload,
             actions: Vec::new(),
             nb_dma: Vec::new(),
+            packet: None,
         };
         ctx.charge(cost::HANDLER_INVOKE);
         ctx
+    }
+
+    /// Give a payload run its packet buffer: the storage the handler's
+    /// `data` points into. Bytes the handler moves out of it whole, by
+    /// [`Self::put_from_device`] or [`Self::dma_to_host_b`], then travel
+    /// as views of the buffer instead of copies, as the NIC sends and DMAs
+    /// from its packet buffer in place.
+    pub fn set_packet(&mut self, packet: &'a Bytes) {
+        self.packet = Some(packet);
     }
 
     /// `PTL_MY_HPU`: the core this handler is pinned to.
@@ -259,6 +272,26 @@ impl<'a> HandlerCtx<'a> {
         }
     }
 
+    /// `data` as a view of the packet buffer, if its address range lies
+    /// inside it; `None` for any other memory (HPU memory, DMA reads,
+    /// computed buffers) and in runs without a packet.
+    fn packet_view(&self, data: &[u8]) -> Option<Bytes> {
+        let packet = self.packet?;
+        let start = (data.as_ptr() as usize).checked_sub(packet.as_ptr() as usize)?;
+        let end = start + data.len();
+        (end <= packet.len()).then(|| packet.slice(start..end))
+    }
+
+    /// Write `data` at absolute host offset `abs`. A view of the packet
+    /// buffer goes through [`HostMemory::write_bytes`], which adopts a
+    /// whole aligned page by reference; anything else is copied.
+    fn host_write(&mut self, abs: usize, data: &[u8]) -> Result<(), Segv> {
+        match self.packet_view(data) {
+            Some(view) => self.host.write_bytes(abs, &view),
+            None => self.host.write(abs, data),
+        }
+    }
+
     fn resolve(&self, region: MemRegion, offset: usize, len: usize) -> Result<usize, Segv> {
         let (base, region_len) = match region {
             MemRegion::MeHost => self.me_region,
@@ -297,7 +330,9 @@ impl<'a> HandlerCtx<'a> {
     /// `PtlHandlerDMAToHostB`: blocking write of `data` at `offset` within
     /// `region`. Blocks until the data path accepted the data (the short
     /// blocking sections in the Appendix C.3.2 traces); global visibility is
-    /// one DMA latency later.
+    /// one DMA latency later. Packet bytes that fill a whole aligned host
+    /// page land by page adoption, sharing the packet's storage; all other
+    /// data is copied. The simulated cost is the same either way.
     pub fn dma_to_host_b(
         &mut self,
         region: MemRegion,
@@ -307,7 +342,7 @@ impl<'a> HandlerCtx<'a> {
         self.charge(cost::DMA_ISSUE);
         let abs = self.resolve(region, offset, data.len())?;
         let timing = self.dma.write(self.now(), data.len());
-        self.host.write(abs, data)?;
+        self.host_write(abs, data)?;
         self.block(timing.channel_end);
         Ok(())
     }
@@ -329,7 +364,8 @@ impl<'a> HandlerCtx<'a> {
         Ok((data, DmaHandle(self.nb_dma.len() - 1)))
     }
 
-    /// `PtlHandlerDMAToHostNB`: nonblocking write.
+    /// `PtlHandlerDMAToHostNB`: nonblocking write; shares packet bytes as
+    /// [`Self::dma_to_host_b`] does.
     pub fn dma_to_host_nb(
         &mut self,
         region: MemRegion,
@@ -339,7 +375,7 @@ impl<'a> HandlerCtx<'a> {
         self.charge(cost::DMA_ISSUE + cost::DMA_NB_EXTRA);
         let abs = self.resolve(region, offset, data.len())?;
         let timing = self.dma.write(self.now(), data.len());
-        self.host.write(abs, data)?;
+        self.host_write(abs, data)?;
         self.nb_dma.push(timing.channel_end);
         Ok(DmaHandle(self.nb_dma.len() - 1))
     }
@@ -393,7 +429,11 @@ impl<'a> HandlerCtx<'a> {
     // ---- message generation ----
 
     /// `PtlHandlerPutFromDevice`: single-packet put from NIC memory.
-    /// Payload must fit `max_payload_size`.
+    /// Payload must fit `max_payload_size`. A payload inside the packet
+    /// buffer of a payload run (the packet itself or any sub-slice of it)
+    /// is sent as a view of that buffer, sharing its storage; anything
+    /// else (HPU memory, DMA reads, computed buffers, and every put from a
+    /// header or completion handler) is copied.
     pub fn put_from_device(
         &mut self,
         payload: &[u8],
@@ -402,25 +442,14 @@ impl<'a> HandlerCtx<'a> {
         remote_offset: usize,
         hdr_data: u64,
     ) -> Result<(), Segv> {
-        assert!(
-            payload.len() <= self.max_payload,
-            "PutFromDevice payload {} exceeds max_payload_size {}",
-            payload.len(),
-            self.max_payload
-        );
-        self.charge(cost::PUT_FROM_DEVICE_ISSUE);
-        self.actions.push((
-            self.now(),
-            OutAction::PutFromDevice {
-                payload: Bytes::copy_from_slice(payload),
-                target,
-                match_bits,
-                remote_offset,
-                hdr_data,
-                user_hdr: UserHeader::empty(),
-            },
-        ));
-        Ok(())
+        self.put_from_device_with_header(
+            payload,
+            target,
+            match_bits,
+            remote_offset,
+            hdr_data,
+            UserHeader::empty(),
+        )
     }
 
     /// `PtlHandlerPutFromHost`: nonblocking put of ME-region host memory via
@@ -482,7 +511,8 @@ impl<'a> HandlerCtx<'a> {
         Ok(())
     }
 
-    /// Variant of [`Self::put_from_device`] carrying a user header.
+    /// Variant of [`Self::put_from_device`] carrying a user header; the
+    /// payload is shared or copied by the same rule.
     #[allow(clippy::too_many_arguments)]
     pub fn put_from_device_with_header(
         &mut self,
@@ -493,12 +523,20 @@ impl<'a> HandlerCtx<'a> {
         hdr_data: u64,
         user_hdr: UserHeader,
     ) -> Result<(), Segv> {
-        assert!(payload.len() <= self.max_payload);
+        assert!(
+            payload.len() <= self.max_payload,
+            "PutFromDevice payload {} exceeds max_payload_size {}",
+            payload.len(),
+            self.max_payload
+        );
         self.charge(cost::PUT_FROM_DEVICE_ISSUE);
+        let payload = self
+            .packet_view(payload)
+            .unwrap_or_else(|| Bytes::copy_from_slice(payload));
         self.actions.push((
             self.now(),
             OutAction::PutFromDevice {
-                payload: Bytes::copy_from_slice(payload),
+                payload,
                 target,
                 match_bits,
                 remote_offset,
@@ -569,6 +607,7 @@ impl<'a> HandlerCtx<'a> {
 mod tests {
     use super::*;
     use crate::dma::DmaParams;
+    use crate::memory::{HpuMemory, HOST_PAGE};
 
     fn setup() -> (DmaEngine, HostMemory) {
         (
@@ -711,6 +750,112 @@ mod tests {
         let mut c = ctx(&mut dma, &mut host);
         let big = vec![0u8; 5000];
         let _ = c.put_from_device(&big, 1, 0, 0, 0);
+    }
+
+    /// The payloads of the put-from-device actions a handler recorded.
+    fn put_payloads(run: HandlerRun) -> Vec<Bytes> {
+        (run.actions.into_iter())
+            .map(|(_, a)| match a {
+                OutAction::PutFromDevice { payload, .. } => payload,
+                a => panic!("unexpected action {a:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn put_from_device_forwards_packet_bytes_by_reference() {
+        let packet = Bytes::from((0..4096).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let (mut dma, mut host) = setup();
+        let mut c = ctx(&mut dma, &mut host);
+        c.set_packet(&packet);
+        // The whole packet and a sub-slice of it: views of its storage.
+        c.put_from_device(&packet, 1, 0, 0, 0).unwrap();
+        c.put_from_device(&packet[100..612], 1, 0, 0, 0).unwrap();
+        let sent = put_payloads(c.finish());
+        assert_eq!(sent[0].as_ptr(), packet.as_ptr());
+        assert_eq!(&sent[0][..], &packet[..]);
+        assert_eq!(sent[1].as_ptr(), packet[100..].as_ptr());
+        assert_eq!(&sent[1][..], &packet[100..612]);
+    }
+
+    #[test]
+    fn put_from_device_copies_what_is_not_the_packet() {
+        let packet = Bytes::from(vec![5u8; 4096]);
+        let (mut dma, mut host) = setup();
+        host.write(0, &[9u8; 64]).unwrap();
+        let mut state = HpuMemory::alloc(64);
+        state.write(0, &[3u8; 64]).unwrap();
+        // A payload run's DMA read and HPU memory are copied...
+        let mut c = ctx(&mut dma, &mut host);
+        c.set_packet(&packet);
+        let read = c.dma_from_host_b(MemRegion::MeHost, 0, 64).unwrap();
+        c.put_from_device(&read, 1, 0, 0, 0).unwrap();
+        let hpu = state.read(0, 64).unwrap();
+        c.put_from_device(hpu, 1, 0, 0, 0).unwrap();
+        let sent = put_payloads(c.finish());
+        assert_eq!(&sent[0][..], &read[..]);
+        assert_ne!(sent[0].as_ptr(), read.as_ptr());
+        assert_eq!(&sent[1][..], hpu);
+        assert_ne!(sent[1].as_ptr(), hpu.as_ptr());
+        // ...and so is the packet's own data in a run without a packet
+        // buffer (header and completion handlers).
+        let mut c = ctx(&mut dma, &mut host);
+        c.put_from_device(&packet[..64], 1, 0, 0, 0).unwrap();
+        let sent = put_payloads(c.finish());
+        assert_eq!(&sent[0][..], &packet[..64]);
+        assert_ne!(sent[0].as_ptr(), packet.as_ptr());
+    }
+
+    #[test]
+    fn dma_to_host_adopts_a_whole_aligned_packet_page() {
+        let packet = Bytes::from((0..HOST_PAGE).map(|i| (i % 241) as u8).collect::<Vec<u8>>());
+        let (mut dma, mut host) = setup();
+        let before = host.cow_clones();
+        let mut c = ctx(&mut dma, &mut host);
+        c.set_packet(&packet);
+        c.dma_to_host_b(MemRegion::MeHost, HOST_PAGE, &packet)
+            .unwrap();
+        let h = c
+            .dma_to_host_nb(MemRegion::MeHost, 3 * HOST_PAGE, &packet)
+            .unwrap();
+        c.dma_wait(h);
+        drop(c.finish());
+        assert_eq!(host.cow_clones(), before, "adoption copies no page");
+        for at in [HOST_PAGE, 3 * HOST_PAGE] {
+            let page = host.read_bytes(at, HOST_PAGE).unwrap();
+            assert_eq!(page.as_ptr(), packet.as_ptr(), "page at {at} is the packet");
+            assert_eq!(&page[..], &packet[..]);
+        }
+    }
+
+    #[test]
+    fn dma_to_host_of_partial_or_misaligned_packet_bytes_lands_as_write() {
+        let packet = Bytes::from((0..HOST_PAGE).map(|i| (i % 233) as u8).collect::<Vec<u8>>());
+        // (destination offset, packet range): a partial slice, a whole
+        // packet at a misaligned offset, and a partial slice at an aligned
+        // one.
+        let cases = [
+            (7, 100..612),
+            (HOST_PAGE + 7, 0..HOST_PAGE),
+            (0, 0..HOST_PAGE - 1),
+        ];
+        for (at, range) in cases {
+            let (mut dma, mut host) = setup();
+            let mut want = host.clone();
+            let mut c = ctx(&mut dma, &mut host);
+            c.set_packet(&packet);
+            c.dma_to_host_b(MemRegion::MeHost, at, &packet[range.clone()])
+                .unwrap();
+            drop(c.finish());
+            want.write(at, &packet[range.clone()]).unwrap();
+            let span = 3 * HOST_PAGE;
+            assert_eq!(
+                &host.read(0, span).unwrap()[..],
+                &want.read(0, span).unwrap()[..],
+                "{at} {range:?}"
+            );
+            assert_eq!(host.cow_clones(), want.cow_clones(), "{at} {range:?}");
+        }
     }
 
     #[test]

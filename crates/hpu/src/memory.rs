@@ -21,7 +21,10 @@
 //!   page always has) clones just that page, so every outstanding view
 //!   keeps the exact bytes it saw when it was taken. This is what makes
 //!   message injection O(1) in payload size: the send path snapshots a
-//!   multi-MB region by bumping a handful of refcounts.
+//!   multi-MB region by bumping one refcount per page. A page is one MTU,
+//!   so each MTU-aligned packet carries one whole page, and the receiver
+//!   adopts it by reference ([`HostMemory::write_bytes`]) instead of
+//!   copying it.
 
 use bytes::Bytes;
 use std::sync::{Arc, OnceLock};
@@ -167,18 +170,22 @@ impl HpuMemory {
     }
 }
 
-/// Copy-on-write page size of [`HostMemory`]: 16 KiB, i.e. 4 network MTUs.
+/// Copy-on-write page size of [`HostMemory`]: 4 KiB, one network MTU at the
+/// default `net.mtu` of 4,096 bytes.
 ///
-/// It is a whole number of MTUs, so MTU-aligned sends never straddle a
-/// page boundary and per-packet payload views are O(1) slices of one page.
-/// It is small because a page's first write copies the whole page, however
-/// few bytes land: a 1,024-node incast, whose nodes each write a few KiB
-/// into many untouched pages, copies 2,557 × 16 KiB = 40 MiB per run, where
-/// 64 KiB pages copied 2,173 × 64 KiB = 136 MiB. It is not smaller because
-/// 4 KiB pages, though about 10% faster again on that incast, raised the
-/// 1 MiB streaming ping-pong's peak resident memory by 5–7% (measured on a
-/// 2-vCPU VM).
-pub const HOST_PAGE: usize = 16 * 1024;
+/// At one MTU, the payload of an MTU-aligned packet is a whole page: the
+/// send path slices it out of the sender's page in O(1), and
+/// [`HostMemory::write_bytes`] lands it at an aligned destination by
+/// swapping the page reference, copying nothing. A payload handler that
+/// forwards its packet (`put_from_device`) sends that same page on, so a
+/// streaming ping-pong's pong lands as the client's own ping page.
+///
+/// It is also the smallest first-write copy: a page's first write copies
+/// the whole page, however few bytes land. A 1,024-node incast, whose
+/// nodes each write a few KiB into many untouched pages, copies 3,069 ×
+/// 4 KiB = 12 MiB per run, where 16 KiB pages copied 2,557 × 16 KiB =
+/// 40 MiB and 64 KiB pages 2,173 × 64 KiB = 136 MiB.
+pub const HOST_PAGE: usize = 4 * 1024;
 
 /// The shared all-zero page: every page past the end of a [`HostMemory`]'s
 /// table reads as this one, so a 64 MiB node allocates nothing until it is
@@ -196,7 +203,7 @@ fn zero_page() -> &'static Arc<[u8]> {
 ///
 /// [`MemSlice::slice`] produces contiguous [`Bytes`] windows for
 /// packetization: O(1) when the window lies inside one segment (the common
-/// case — packets are MTU-sized and pages are whole MTUs), a bounded
+/// case — packets are MTU-sized and a page is one MTU), a bounded
 /// window-sized copy when it straddles a segment boundary.
 #[derive(Debug, Clone, Default)]
 pub struct MemSlice {

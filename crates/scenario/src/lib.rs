@@ -48,8 +48,9 @@ use spin_sim::time::Time;
 /// the clock (a message's latency, jitter, background draw and degrade
 /// latency; a fault's `at_ns`; a sender's next interval), so no field and
 /// no single step can overflow `Time`. Thousands of hour-long steps in a
-/// row still can: a count times a delay needs a bound of its own, such as
-/// [`MAX_SCHEDULE_NS`] on a `Saturate` sender's schedule.
+/// row still can: a count times a delay needs a bound of its own,
+/// [`MAX_SCHEDULE_NS`], on a `Saturate` sender's schedule and on a
+/// ping-pong's rounds of impairment delay.
 const MAX_NS: u64 = 3_600 * 1_000_000_000;
 
 /// Translate nanosecond field `field` of scenario `name` to simulated time,
@@ -64,11 +65,13 @@ fn ns_field(name: &str, field: std::fmt::Arguments<'_>, ns: u64) -> Result<Time,
     Ok(Time::from_ns(ns))
 }
 
-/// The longest send schedule a `Saturate` sender may ask for, in
-/// nanoseconds: 1,000 simulated hours. Each sender posts `messages` sends
-/// one `interval_ns` apart, so its last send is due after their product;
-/// at about a fifth of `Time`'s range this leaves room for every
-/// message's own delays, each at most [`MAX_NS`].
+/// The longest chain of delays a workload may ask for, in nanoseconds:
+/// 1,000 simulated hours. A `Saturate` sender posts `messages` sends one
+/// `interval_ns` apart, so its last send is due after their product; a
+/// ping-pong's messages go one after another, two per round, each delayed
+/// by up to its impairment rule's `latency_ns + jitter_ns + background_ns`.
+/// At about a fifth of `Time`'s range this leaves room for every message's
+/// own delays, each at most [`MAX_NS`].
 const MAX_SCHEDULE_NS: u64 = 1_000 * MAX_NS;
 
 /// The largest payload any byte field of a workload may ask for, and the
@@ -748,6 +751,38 @@ impl ScenarioCompiler {
         Ok(times)
     }
 
+    /// `PingPong`'s round count, or an error when its chained impairment
+    /// delays exceed [`MAX_SCHEDULE_NS`]. Each round is a ping and a pong,
+    /// one after the other, and each may cross the slowest impairment rule,
+    /// so the chain is `rounds × 2 × (latency_ns + jitter_ns +
+    /// background_ns)` of that rule (the first one, on a tie).
+    fn pingpong_rounds(&self, rounds: u32) -> Result<u32, Error> {
+        let s = &self.scenario;
+        let slowest = (s.impairments.iter().enumerate().rev())
+            .map(|(i, imp)| {
+                let delay = u128::from(imp.latency_ns)
+                    + u128::from(imp.jitter_ns)
+                    + u128::from(imp.background_ns);
+                (i, delay)
+            })
+            .max_by_key(|&(_, delay)| delay);
+        let Some((i, delay)) = slowest else {
+            return Ok(rounds);
+        };
+        // In u128, since `u32::MAX × 2 × 3 × MAX_NS` overflows u64.
+        let chain = u128::from(rounds) * 2 * delay;
+        if chain > u128::from(MAX_SCHEDULE_NS) {
+            return Err(Error::msg(format!(
+                "scenario {:?}: workload.PingPong.rounds × 2 × impairments[{i}].(latency_ns \
+                 + jitter_ns + background_ns) = {rounds} × 2 × {delay} = {chain} exceeds \
+                 {MAX_SCHEDULE_NS}, the bound on a ping-pong's chained delays (1,000 \
+                 simulated hours)",
+                s.name
+            )));
+        }
+        Ok(rounds)
+    }
+
     /// Compile to a ready-to-run builder.
     pub fn compile(&self) -> Result<SimBuilder, Error> {
         let s = &self.scenario;
@@ -818,7 +853,8 @@ impl ScenarioCompiler {
                     PingPongModeConfig::SpinStream => spin_apps::pingpong::PingPongMode::SpinStream,
                 };
                 let bytes = self.payload_bytes("PingPong.bytes", *bytes)?;
-                Ok(spin_apps::pingpong::builder(cfg, mode, bytes, *rounds))
+                let rounds = self.pingpong_rounds(*rounds)?;
+                Ok(spin_apps::pingpong::builder(cfg, mode, bytes, rounds))
             }
             Workload::Bcast { bytes, mode } => {
                 fixed_root("broadcast")?;
@@ -1321,7 +1357,7 @@ mod tests {
         let limit = MAX_ENTRIES as u32;
         // One slot past the key-value table bound, and an incast root that
         // would arm 1,024 × 100 MEs: named errors. No larger table runs: if
-        // the bound broke, 2^38 slots would ask for a 6 GB page table.
+        // the bound broke, 2^38 slots would ask for a 24 GB page table.
         let over = [
             (
                 TREE4,
@@ -1496,6 +1532,41 @@ mod tests {
         for messages in [1_001, 6_000, u32::MAX] {
             let want = over(messages);
             assert_runs_or_fails_naming(&want, schedule(messages), Some(&want));
+        }
+    }
+
+    #[test]
+    fn pingpong_delay_chains_are_a_run_or_a_named_error_never_a_panic() {
+        // A 2-node RDMA ping-pong under a one-hour impairment: each round
+        // chains two hour-long messages, so past 500 rounds (1,000 hours)
+        // the run is refused, since a few thousand rounds wrap `Time`.
+        let hour = MAX_NS;
+        let pingpong = |rounds: u32| {
+            Scenario::from_json(&format!(
+                r#"{{"name": "pp", "topology": {{"FatTree": {{"nodes": 2, "ports": 4}}}},
+                    "impairments": [{{"latency_ns": 1000}}, {{"latency_ns": {hour}}}],
+                    "workload": {{"PingPong": {{"bytes": 64, "rounds": {rounds},
+                    "mode": "Rdma"}}}}}}"#
+            ))
+            .unwrap()
+        };
+        let over = |rounds: u32| {
+            let chain = u128::from(rounds) * 2 * u128::from(hour);
+            format!(
+                "workload.PingPong.rounds × 2 × impairments[1].(latency_ns + jitter_ns + \
+                 background_ns) = {rounds} × 2 × {hour} = {chain} exceeds {MAX_SCHEDULE_NS}, \
+                 the bound on a ping-pong's chained delays (1,000 simulated hours)"
+            )
+        };
+        let cases = [
+            (500, None),
+            (501, Some(over(501))),
+            (3_000, Some(over(3_000))),
+            (u32::MAX, Some(over(u32::MAX))),
+        ];
+        for (rounds, want) in cases {
+            let what = format!("{rounds} rounds of {hour} ns");
+            assert_runs_or_fails_naming(&what, pingpong(rounds), want.as_deref());
         }
     }
 
