@@ -78,8 +78,7 @@ struct Root {
 }
 impl HostProgram for Root {
     fn on_start(&mut self, api: &mut HostApi<'_>) {
-        let data: Vec<u8> = (0..self.bytes).map(|i| (i % 241) as u8).collect();
-        api.write_host(BUF_OFF, &data);
+        api.write_host(BUF_OFF, &crate::pattern(self.bytes, 1, 241));
         api.mark("start");
         for child in binomial_children(0, self.p) {
             api.put(PutArgs::from_host(child, 0, BCAST_TAG, BUF_OFF, self.bytes));

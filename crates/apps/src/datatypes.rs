@@ -98,8 +98,7 @@ struct Sender {
 }
 impl HostProgram for Sender {
     fn on_start(&mut self, api: &mut HostApi<'_>) {
-        let data: Vec<u8> = (0..self.bytes).map(|i| (i % 239) as u8).collect();
-        api.write_host(0, &data);
+        api.write_host(0, &crate::pattern(self.bytes, 1, 239));
         api.mark("post");
         api.put(PutArgs::from_host(1, 0, DDT_TAG, 0, self.bytes));
     }

@@ -79,8 +79,7 @@ impl HostProgram for Rank {
             api.me_append(MeSpec::recv(0, BCAST_TAG, (0, self.bytes)));
         }
         if rank == 0 {
-            let data: Vec<u8> = (0..self.bytes).map(|i| (i % 127) as u8).collect();
-            api.write_host(0, &data);
+            api.write_host(0, &crate::pattern(self.bytes, 1, 127));
             api.mark("root_send");
             for t in binomial_graph_targets(0, p) {
                 api.put(PutArgs::from_host(t, 0, BCAST_TAG, 0, self.bytes).with_hdr_data(1));

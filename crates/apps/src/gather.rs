@@ -82,8 +82,7 @@ impl HostProgram for GatherLeaf {
         let n = api.nprocs();
         api.me_append(MeSpec::recv(0, XCHG_TAG, (XCHG_DST, 0x1000)));
         let len = self.put_bytes;
-        let pattern: Vec<u8> = (0..len).map(|i| (i * 13 % 239) as u8).collect();
-        api.write_host(SEND_SRC, &pattern);
+        api.write_host(SEND_SRC, &crate::pattern(len, 13, 239));
         api.put(PutArgs::from_host(self.root, 0, me as u64, SEND_SRC, len).with_ack());
         let peer = (me + self.stride) % n;
         if peer != me {

@@ -10,7 +10,9 @@
 use spin_core::config::MachineConfig;
 use spin_core::host::{HostApi, HostProgram, MeSpec, PutArgs};
 use spin_core::world::SimBuilder;
+use spin_hpu::memory::{HostMemory, MemSlice};
 use spin_sim::time::Time;
+use std::sync::OnceLock;
 
 const MTU: usize = 4096;
 /// Exchange-ring match bits.
@@ -22,6 +24,23 @@ const SEND_SRC: usize = 0x1000;
 /// two-packet message the leaves send).
 fn gather_region(r: u32) -> (usize, usize) {
     (0x1_0000 + r as usize * 0x2000, 0x2000)
+}
+
+/// A leaf's send buffer: `2 × MTU` bytes of [`pattern`](crate::pattern)
+/// `(i * 31 % 251)`, built once per process as two whole host pages like
+/// the zero page. Every leaf adopts these same two pages instead of
+/// building and copying its own; copy-on-write keeps each leaf's memory
+/// its own.
+fn send_buffer() -> &'static MemSlice {
+    static BUF: OnceLock<MemSlice> = OnceLock::new();
+    BUF.get_or_init(|| {
+        let len = 2 * MTU;
+        let mut pages = HostMemory::new(len);
+        pages
+            .write(0, &crate::pattern(len, 31, 251))
+            .expect("fits by construction");
+        pages.read_slice(0, len).expect("fits by construction")
+    })
 }
 
 /// One past the highest host-memory byte the layout uses on any rank: the
@@ -85,9 +104,7 @@ impl HostProgram for IncastLeaf {
             // are use-once.
             api.me_append(MeSpec::recv(0, RING_TAG, (RING_DST, 0x1000)));
         }
-        let len = 2 * MTU;
-        let pattern: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-        api.write_host(SEND_SRC, &pattern);
+        api.write_host_slice(SEND_SRC, send_buffer());
         // Stagger by rank and round, but coarsely (many same-instant
         // collisions survive), so each conservative window holds work for
         // every shard and the root ingress sees sustained incast. The base
@@ -157,6 +174,38 @@ mod tests {
             .filter(|(_, l, _)| l.contains("leaf-Ack"))
             .count();
         assert_eq!(acks, 17 * 2, "acked gather puts");
+    }
+
+    #[test]
+    fn leaves_share_one_send_buffer_and_copy_only_their_ring_page() {
+        let mut config = MachineConfig::paper(NicKind::Integrated);
+        config.net.switch_ports = 8;
+        config.host.mem_size = 1 << 20;
+        let (n, rounds) = (18, 2);
+        let out = builder(config, n, 0, rounds).run_serial();
+        let nodes = &out.world.nodes;
+        // Every leaf's two send pages are the process-wide buffer's pages.
+        for page in 0..2 {
+            let shared = send_buffer().slice(page * MTU, MTU).as_ptr();
+            for (leaf, node) in nodes.iter().enumerate().skip(1) {
+                let mine = node.mem.read_bytes(SEND_SRC + page * MTU, MTU).unwrap();
+                assert_eq!(mine.as_ptr(), shared, "leaf {leaf} page {page}");
+            }
+        }
+        // The root gathered the pattern from every leaf.
+        for r in 1..n {
+            let (base, len) = gather_region(r);
+            let got = nodes[0].mem.read(base, len).unwrap();
+            for (i, &b) in got.iter().enumerate() {
+                assert_eq!(b, (i * 31 % 251) as u8, "sender {r} byte {i}");
+            }
+        }
+        // Only ring landings copy a page, once however many rounds land
+        // there: each of the 17 leaves puts its ring message at rank - 1
+        // (the root, for rank 1), and nothing lands on rank 17, whose ring
+        // sender would be the root.
+        let clones: u64 = nodes.iter().map(|node| node.mem.cow_clones()).sum();
+        assert_eq!(clones, u64::from(n - 1), "one copied page per leaf");
     }
 
     #[test]

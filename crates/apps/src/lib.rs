@@ -41,3 +41,61 @@ pub mod pingpong;
 pub mod raid;
 pub mod saturate;
 pub mod txlog;
+
+/// `len` bytes of the payload pattern `(i * mul % modulus) as u8`, the
+/// fill the apps send and verify. The pattern repeats every `modulus`
+/// bytes, so one period is computed byte by byte and then doubled with
+/// `extend_from_within` until `len` bytes are there.
+///
+/// # Panics
+/// Panics if `modulus` is zero.
+pub fn pattern(len: usize, mul: usize, modulus: usize) -> Vec<u8> {
+    assert!(modulus > 0, "pattern modulus must be positive");
+    let mut out = Vec::with_capacity(len);
+    out.extend((0..len.min(modulus)).map(|i| (i * mul % modulus) as u8));
+    while out.len() < len {
+        // `out` holds whole periods here, so its prefix continues the
+        // pattern.
+        out.extend_from_within(..out.len().min(len - out.len()));
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::pattern;
+
+    #[test]
+    fn pattern_matches_the_per_byte_formula() {
+        // Every (mul, modulus) an app fills its payload with.
+        const USED: [(usize, usize); 8] = [
+            (1, 241),  // bcast
+            (1, 239),  // datatypes
+            (1, 127),  // ftbcast
+            (13, 239), // gather
+            (31, 251), // incast
+            (1, 199),  // matching
+            (1, 253),  // pingpong
+            (37, 251), // saturate
+        ];
+        for (mul, m) in USED {
+            for len in [0, 1, m - 1, m, m + 1, 8192, (1 << 20) + 3] {
+                let got = pattern(len, mul, m);
+                assert_eq!(got.len(), len, "mul {mul} mod {m} len {len}");
+                for (i, &b) in got.iter().enumerate() {
+                    assert_eq!(
+                        b,
+                        (i * mul % m) as u8,
+                        "mul {mul} mod {m} len {len} byte {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn a_zero_modulus_is_refused() {
+        pattern(1, 1, 0);
+    }
+}

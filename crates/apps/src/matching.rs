@@ -483,8 +483,7 @@ mod tests {
             let (cfg, _) = default_config(self.offload, MEM);
             let mut ep = Endpoint::new(cfg);
             ep.init(api);
-            let data: Vec<u8> = (0..self.bytes).map(|i| (i % 199) as u8).collect();
-            api.write_host(0, &data);
+            api.write_host(0, &crate::pattern(self.bytes, 1, 199));
             api.mark("send");
             ep.send(api, 1 - api.rank(), 7, 0, self.bytes);
         }

@@ -83,8 +83,7 @@ impl Client {
 
 impl HostProgram for Client {
     fn on_start(&mut self, api: &mut HostApi<'_>) {
-        let data: Vec<u8> = (0..self.bytes).map(|i| (i % 253) as u8).collect();
-        api.write_host(PING_OFF, &data);
+        api.write_host(PING_OFF, &crate::pattern(self.bytes, 1, 253));
         api.me_append(MeSpec::recv(0, PONG_TAG, (PONG_OFF, self.bytes.max(1))));
         self.post_ping(api);
     }

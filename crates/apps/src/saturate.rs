@@ -149,8 +149,7 @@ impl Sender {
 
 impl HostProgram for Sender {
     fn on_start(&mut self, api: &mut HostApi<'_>) {
-        let pattern: Vec<u8> = (0..self.bytes).map(|i| (i * 37 % 251) as u8).collect();
-        api.write_host(SRC_OFF, &pattern);
+        api.write_host(SRC_OFF, &crate::pattern(self.bytes, 37, 251));
         self.send_one(api);
     }
 

@@ -14,6 +14,7 @@ use crate::handlers::HandlerSet;
 use crate::msg::{Notify, OutMsg, PayloadSpec};
 use crate::world::{Ev, World};
 use bytes::Bytes;
+use spin_hpu::memory::MemSlice;
 use spin_portals::ct::{CtEvent, CtHandle, TriggeredAction, TriggeredOp};
 use spin_portals::eq::FullEvent;
 use spin_portals::me::{HandlerRef, ListKind, MatchEntry, MeHandle, MeOptions};
@@ -565,6 +566,18 @@ impl<'a> HostApi<'a> {
             .mem
             .write(offset, bytes)
             .expect("write_host");
+    }
+
+    /// Zero-time host-memory write of a page view (workload setup). Whole
+    /// aligned pages are adopted by reference, as a receive deposit adopts
+    /// them ([`write_slice`](spin_hpu::memory::HostMemory::write_slice)),
+    /// so many nodes can hold one constant buffer's pages until one of
+    /// them writes there.
+    pub fn write_host_slice(&mut self, offset: usize, slice: &MemSlice) {
+        self.world.nodes[self.node as usize]
+            .mem
+            .write_slice(offset, slice)
+            .expect("write_host_slice");
     }
 
     /// Zero-time host-memory read.

@@ -315,6 +315,18 @@ mod tests {
     }
 
     #[test]
+    fn a_cam_at_the_default_capacity_takes_1024_installs_and_refuses_the_next() {
+        let cfg = MachineConfig::paper(NicKind::Integrated);
+        assert!(Nic::new(&cfg).cam.is_empty());
+        let mut cam = Cam::new(cfg.cam_capacity);
+        for id in 0..1024 {
+            cam.install(id, id).expect("under the bound");
+        }
+        assert_eq!(cam.install(1024, 1024), Err(1024), "the 1,025th is refused");
+        assert_eq!((cam.len(), cam.installs()), (1024, 1024));
+    }
+
+    #[test]
     fn handler_registry() {
         let cfg = MachineConfig::paper(NicKind::Discrete);
         let mut nic = Nic::new(&cfg);

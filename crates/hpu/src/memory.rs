@@ -10,10 +10,11 @@
 //!   correctness (datatype unpack layouts, RAID parity, accumulate values)
 //!   the way the paper's gem5 execution does. Storage is **demand-paged**:
 //!   a table of [`HOST_PAGE`]-sized reference-counted pages that covers
-//!   only the pages up to the highest one ever written, with every page
-//!   past its end reading as one shared zero page. Building a node's
-//!   memory is therefore O(1) whatever its size, and cloning or dropping
-//!   it costs one refcount per page up to the highest one written.
+//!   only the pages up to the highest one ever written. An unwritten page
+//!   is an empty slot, and it and every page past the table's end read as
+//!   one shared zero page. Building a node's memory is therefore O(1)
+//!   whatever its size, growing the table touches no refcount, and
+//!   cloning or dropping it costs one refcount per written page.
 //!
 //!   Pages have **copy-on-write** semantics: [`HostMemory::read_slice`]
 //!   hands out O(1) page views (a [`MemSlice`]) instead of copying the
@@ -181,15 +182,16 @@ impl HpuMemory {
 /// streaming ping-pong's pong lands as the client's own ping page.
 ///
 /// It is also the smallest first-write copy: a page's first write copies
-/// the whole page, however few bytes land. A 1,024-node incast, whose
-/// nodes each write a few KiB into many untouched pages, copies 3,069 ×
-/// 4 KiB = 12 MiB per run, where 16 KiB pages copied 2,557 × 16 KiB =
-/// 40 MiB and 64 KiB pages 2,173 × 64 KiB = 136 MiB.
+/// the whole page, however few bytes land, while an unwritten page below
+/// it stays an empty slot. A 1,024-node incast copies 1,023 × 4 KiB =
+/// 4 MiB per run, one ring landing page per leaf, since its leaves adopt
+/// one shared send buffer by page; building that buffer in every leaf
+/// copied 3,069 × 4 KiB, and 16 KiB pages copied 2,557 × 16 KiB = 40 MiB.
 pub const HOST_PAGE: usize = 4 * 1024;
 
-/// The shared all-zero page: every page past the end of a [`HostMemory`]'s
-/// table reads as this one, so a 64 MiB node allocates nothing until it is
-/// written.
+/// The shared all-zero page: every empty slot of a [`HostMemory`]'s table,
+/// and every page past its end, reads as this one, so a 64 MiB node
+/// allocates nothing until it is written.
 fn zero_page() -> &'static Arc<[u8]> {
     static ZERO: OnceLock<Arc<[u8]>> = OnceLock::new();
     ZERO.get_or_init(|| Arc::from(vec![0u8; HOST_PAGE]))
@@ -323,14 +325,14 @@ impl MemSlice {
 
 /// The node's simulated host DRAM: demand-paged [`HOST_PAGE`]-sized
 /// reference-counted pages with copy-on-write writes (see the module
-/// docs). Cloning a `HostMemory` bumps one refcount per page up to the
-/// highest one written; the clone and the original diverge page by page
-/// as either side writes.
+/// docs). Cloning a `HostMemory` bumps one refcount per written page; the
+/// clone and the original diverge page by page as either side writes.
 #[derive(Debug, Clone)]
 pub struct HostMemory {
-    /// Pages `0..pages.len()`: up to the highest page ever written. Every
-    /// page past the end is the shared zero page.
-    pages: Vec<Arc<[u8]>>,
+    /// Pages `0..pages.len()`: up to the highest page ever written, `None`
+    /// for an unwritten one. Every empty slot and every page past the end
+    /// reads as the shared zero page.
+    pages: Vec<Option<Arc<[u8]>>>,
     len: usize,
     cow_clones: u64,
 }
@@ -375,30 +377,36 @@ impl HostMemory {
         }
     }
 
-    /// Page `p` for reading: the shared zero page past the table's end.
-    /// Every read path goes through here.
+    /// Page `p` for reading: the shared zero page for an empty slot or past
+    /// the table's end. Every read path goes through here.
     fn page(&self, p: usize) -> &Arc<[u8]> {
-        self.pages.get(p).unwrap_or_else(|| zero_page())
+        match self.pages.get(p) {
+            Some(Some(page)) => page,
+            _ => zero_page(),
+        }
     }
 
-    /// Page `p`'s table slot, growing the table with zero pages to reach it.
-    fn slot(&mut self, p: usize) -> &mut Arc<[u8]> {
+    /// Page `p`'s table slot, growing the table with empty slots to reach
+    /// it.
+    fn slot(&mut self, p: usize) -> &mut Option<Arc<[u8]>> {
         if p >= self.pages.len() {
-            self.pages.resize(p + 1, Arc::clone(zero_page()));
+            self.pages.resize(p + 1, None);
         }
         &mut self.pages[p]
     }
 
     /// Mutable access to page `p`, cloning it first if any view, snapshot,
     /// or memory clone still shares it — the copy-on-write step. An
-    /// unwritten page is the shared zero page, so its first write copies.
+    /// unwritten page reads as the shared zero page, so its first write
+    /// copies that.
     fn page_mut(&mut self, p: usize) -> &mut [u8] {
-        let page = self.slot(p);
+        let page = self.slot(p).get_or_insert_with(|| Arc::clone(zero_page()));
         if Arc::get_mut(page).is_none() {
             *page = Arc::from(&page[..]);
             self.cow_clones += 1;
         }
-        Arc::get_mut(&mut self.pages[p]).expect("page just uniquified")
+        let page = self.pages[p].as_mut().expect("slot just filled");
+        Arc::get_mut(page).expect("page just uniquified")
     }
 
     /// Read a range. Borrowed (zero-copy) when it falls inside one page,
@@ -480,7 +488,7 @@ impl HostMemory {
         self.bounds(offset, bytes.len())?;
         if offset.is_multiple_of(HOST_PAGE) && bytes.len() == HOST_PAGE {
             if let Some(backing) = bytes.full_backing() {
-                *self.slot(offset / HOST_PAGE) = backing;
+                *self.slot(offset / HOST_PAGE) = Some(backing);
                 return Ok(());
             }
         }
@@ -820,8 +828,8 @@ mod tests {
         m.put_u64(LEN - 8, 0xFEED_F00D).unwrap();
         assert_eq!(m.cow_clones(), 1, "one page copied, none below it");
         assert_eq!(m.get_u64(LEN - 8).unwrap(), 0xFEED_F00D);
-        // The pages the table grew over still read zero and still share
-        // the zero page: writing one of them copies that page alone.
+        // The pages the table grew over are empty slots that read zero:
+        // writing one of them copies that page alone.
         assert_eq!(&m.read(LEN - HOST_PAGE - 4, 4).unwrap()[..], &[0; 4]);
         m.write(HOST_PAGE, &[7]).unwrap();
         assert_eq!(m.cow_clones(), 2);
@@ -830,6 +838,35 @@ mod tests {
         c.put_u64(LEN - 8, 1).unwrap();
         assert_eq!(c.cow_clones(), 3);
         assert_eq!(m.get_u64(LEN - 8).unwrap(), 0xFEED_F00D);
+    }
+
+    #[test]
+    fn a_first_write_at_page_144_leaves_the_slots_below_it_empty() {
+        // An incast leaf's ring landing page: the table grows to 145 slots.
+        const P: usize = 144;
+        let below = |m: &HostMemory| {
+            (0..P).all(|p| {
+                m.read(p * HOST_PAGE, HOST_PAGE)
+                    .unwrap()
+                    .iter()
+                    .all(|&b| b == 0)
+            })
+        };
+        let mut m = HostMemory::new(1 << 20);
+        m.write(P * HOST_PAGE, &[0xAB; 256]).unwrap();
+        assert_eq!(m.cow_clones(), 1, "exactly one page copied");
+        assert!(below(&m), "pages 0..144 read zero in the memory");
+        let c = m.clone();
+        assert_eq!(c.cow_clones(), 1);
+        assert!(below(&c), "and in its clone");
+        assert_eq!(&c.read(P * HOST_PAGE, 256).unwrap()[..], &[0xAB; 256]);
+        drop(c);
+        assert!(below(&m), "and after the clone is dropped");
+        assert_eq!(&m.read(P * HOST_PAGE, 256).unwrap()[..], &[0xAB; 256]);
+        // The clone shared the written page, so a write now finds it
+        // unique again and copies nothing.
+        m.write(P * HOST_PAGE, &[0xCD]).unwrap();
+        assert_eq!(m.cow_clones(), 1);
     }
 
     #[test]
