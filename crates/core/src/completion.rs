@@ -4,11 +4,12 @@
 
 use crate::msg::Notify;
 use crate::nic::{Channel, DeferredCompletion, DeliveryMode};
+use crate::send::post_ack;
 use crate::world::{Ev, World};
 use spin_hpu::ctx::CompletionRet;
 use spin_portals::ct::CtHandle;
 use spin_portals::eq::{EventKind, FullEvent};
-use spin_portals::types::AckReq;
+use spin_portals::types::{AckReq, PtlAckType};
 use spin_sim::engine::EventQueue;
 use spin_sim::time::Time;
 
@@ -85,7 +86,8 @@ impl World {
                         },
                     );
                     if self.config.recovery.is_some() && ch.ack == AckReq::None {
-                        self.send_ack(q, end, n, ch.header.source_id, ch.src_msg_id);
+                        let to = ch.header.source_id;
+                        post_ack(q, end, n, to, 0, ch.src_msg_id, PtlAckType::Ok);
                     }
                 } else if !ch.flow_control {
                     self.complete_message(q, end, n, &ch);
@@ -99,18 +101,8 @@ impl World {
                     // flow_control_triggered` tells it the attempt was
                     // dropped so it can keep its side effects idempotent
                     // across the retransmit.)
-                    if self.config.recovery.is_some() {
-                        let nic = &mut self.nodes[n as usize].nic;
-                        nic.stats.nacks_sent += 1;
-                        crate::recovery::post_nack(
-                            q,
-                            end,
-                            n,
-                            ch.header.source_id,
-                            ch.pt,
-                            ch.src_msg_id,
-                        );
-                    }
+                    let ctx = &mut self.node_split(n).ctx;
+                    ctx.nack(q, end, &ch.header, ch.src_msg_id);
                 }
             }
         }
@@ -159,7 +151,8 @@ impl World {
                 spin_portals::types::OpKind::Put | spin_portals::types::OpKind::Atomic(_)
             );
         if ch.ack != AckReq::None || transport_ack {
-            self.send_ack(q, t, n, ch.header.source_id, ch.src_msg_id);
+            let to = ch.header.source_id;
+            post_ack(q, t, n, to, 0, ch.src_msg_id, PtlAckType::Ok);
         }
     }
 
@@ -176,7 +169,7 @@ impl World {
             q.post_at(t, Ev::CtInc(n, ct, 1));
         }
         if d.ack != AckReq::None {
-            self.send_ack(q, t, n, d.ack_to, d.src_msg_id);
+            post_ack(q, t, n, d.ack_to, 0, d.src_msg_id, PtlAckType::Ok);
         }
     }
 }

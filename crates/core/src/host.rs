@@ -11,16 +11,14 @@
 
 use crate::config::MachineConfig;
 use crate::handlers::HandlerSet;
-use crate::msg::{Notify, OutMsg, PayloadSpec};
+use crate::msg::{OutMsg, PayloadSpec};
 use crate::world::{Ev, World};
 use bytes::Bytes;
 use spin_hpu::memory::MemSlice;
 use spin_portals::ct::{CtEvent, CtHandle, TriggeredAction, TriggeredOp};
 use spin_portals::eq::FullEvent;
 use spin_portals::me::{HandlerRef, ListKind, MatchEntry, MeHandle, MeOptions};
-use spin_portals::types::{
-    AckReq, MatchBits, OpKind, ProcessId, PtlAckType, UserHeader, ANY_PROCESS,
-};
+use spin_portals::types::{AckReq, MatchBits, OpKind, ProcessId, UserHeader, ANY_PROCESS};
 use spin_sim::engine::EventQueue;
 use spin_sim::noise::NoiseSource;
 use spin_sim::resource::{BandwidthChannel, PooledResource};
@@ -329,28 +327,19 @@ impl<'a> HostApi<'a> {
     pub fn put(&mut self, args: PutArgs) {
         self.charge_o("put");
         let msg = OutMsg {
-            src: self.node,
-            dst: args.target,
-            op: OpKind::Put,
-            pt: args.pt,
-            match_bits: args.match_bits,
             remote_offset: args.remote_offset,
             hdr_data: args.hdr_data,
             user_hdr: args.user_hdr,
-            payload: args.payload,
-            ack: args.ack,
-            ack_type: PtlAckType::Ok,
-            reply_dest: 0,
-            notify: if args.ack == AckReq::None {
-                Notify::None
-            } else {
-                Notify::Host
-            },
-            msg_id: 0,
-            attempt: 0,
-            answers: 0,
-            resume_from: 0,
-        };
+            ..OutMsg::new(
+                self.node,
+                args.target,
+                OpKind::Put,
+                args.pt,
+                args.match_bits,
+                args.payload,
+            )
+        }
+        .acked(args.ack);
         self.q
             .post_at(self.cursor, Ev::NicInject(self.node, Box::new(msg)));
     }

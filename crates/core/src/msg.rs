@@ -115,24 +115,29 @@ pub struct OutMsg {
 }
 
 impl OutMsg {
-    /// A plain put with inline payload.
-    pub fn put_inline(
+    /// The message every other constructor builds on: `op` from `src` to
+    /// `dst`'s portal table entry `pt`, carrying `payload`, with no remote
+    /// offset, header data or user header, no ack requested, no completion
+    /// notification, an id assigned at injection, and a first attempt from
+    /// packet 0.
+    pub fn new(
         src: ProcessId,
         dst: ProcessId,
+        op: OpKind,
         pt: u32,
         match_bits: MatchBits,
-        payload: Bytes,
+        payload: PayloadSpec,
     ) -> Self {
         OutMsg {
             src,
             dst,
-            op: OpKind::Put,
+            op,
             pt,
             match_bits,
             remote_offset: 0,
             hdr_data: 0,
             user_hdr: UserHeader::empty(),
-            payload: PayloadSpec::Inline(payload),
+            payload,
             ack: AckReq::None,
             ack_type: PtlAckType::Ok,
             reply_dest: 0,
@@ -142,6 +147,18 @@ impl OutMsg {
             answers: 0,
             resume_from: 0,
         }
+    }
+
+    /// A plain put with inline payload.
+    pub fn put_inline(
+        src: ProcessId,
+        dst: ProcessId,
+        pt: u32,
+        match_bits: MatchBits,
+        payload: Bytes,
+    ) -> Self {
+        let payload = PayloadSpec::Inline(payload);
+        Self::new(src, dst, OpKind::Put, pt, match_bits, payload)
     }
 
     /// A plain put from host memory (host-initiated: DMA not separately
@@ -154,14 +171,12 @@ impl OutMsg {
         offset: usize,
         len: usize,
     ) -> Self {
-        OutMsg {
-            payload: PayloadSpec::HostRegion {
-                offset,
-                len,
-                charge_dma: false,
-            },
-            ..Self::put_inline(src, dst, pt, match_bits, Bytes::new())
-        }
+        let payload = PayloadSpec::HostRegion {
+            offset,
+            len,
+            charge_dma: false,
+        };
+        Self::new(src, dst, OpKind::Put, pt, match_bits, payload)
     }
 
     /// A get request: fetch `len` bytes matched by `match_bits` at the
@@ -175,13 +190,27 @@ impl OutMsg {
         len: usize,
         reply_dest: usize,
     ) -> Self {
+        let payload = PayloadSpec::None { len };
         OutMsg {
-            op: OpKind::Get,
             remote_offset,
-            payload: PayloadSpec::None { len },
             reply_dest,
             notify: Notify::Host,
-            ..Self::put_inline(src, dst, pt, match_bits, Bytes::new())
+            ..Self::new(src, dst, OpKind::Get, pt, match_bits, payload)
+        }
+    }
+
+    /// The same message with `ack` requested, and the initiator's host
+    /// told when the ack arrives (no notification without one).
+    pub fn acked(self, ack: AckReq) -> Self {
+        let notify = if ack == AckReq::None {
+            Notify::None
+        } else {
+            Notify::Host
+        };
+        OutMsg {
+            ack,
+            notify,
+            ..self
         }
     }
 

@@ -7,7 +7,9 @@
 //! this module closes the loop:
 //!
 //! * **Target side** — every dropped Put is NACKed back to the initiator
-//!   with [`PtlAckType::PtDisabled`], and a *drain-and-re-enable* policy
+//!   with [`PtlAckType::PtDisabled`](spin_portals::types::PtlAckType)
+//!   (every refusal goes through `NodeCtx::refuse` in the runtime module),
+//!   and a *drain-and-re-enable* policy
 //!   polls the NIC ([`Ev::DrainCheck`](crate::world::Ev)) until (a) no
 //!   channel of the disabled PT is still assembling in the CAM, (b) an HPU
 //!   execution context is free, and (c) the PT has a posted ME — then
@@ -50,10 +52,10 @@
 //! into the schedule.
 
 use crate::config::RecoveryConfig;
-use crate::msg::{Notify, OutMsg, PayloadSpec};
+use crate::msg::{Notify, OutMsg};
 use crate::world::{Ev, World};
 use spin_portals::eq::{EventKind, FullEvent};
-use spin_portals::types::{AckReq, OpKind, PtlAckType};
+use spin_portals::types::OpKind;
 use spin_sim::engine::EventQueue;
 use spin_sim::time::Time;
 use std::collections::HashMap;
@@ -207,7 +209,8 @@ impl RecoveryManager {
         self.config.is_some()
     }
 
-    fn recoverable(op: OpKind) -> bool {
+    /// Whether messages of `op` are tracked, NACKed and retransmitted.
+    pub(crate) fn recoverable(op: OpKind) -> bool {
         // Gets are tracked too: a Get that bounces off a disabled PT is
         // NACKed like a Put and retransmitted by the same probe/replay
         // machinery; its Reply doubles as the delivery confirmation that
@@ -438,33 +441,6 @@ fn insert_sorted<T: Ord>(queue: &mut Vec<T>, id: T) {
         Ok(_) => {} // already queued (defensive: a message is NACKed once per attempt)
         Err(pos) => queue.insert(pos, id),
     }
-}
-
-/// Post a `PtDisabled` NACK from node `n` back to `to` for message
-/// `msg_id` that bounced off portal table entry `pt`. The NACK is an
-/// ordinary zero-payload ack packet, so it pays the normal send-path and
-/// network costs.
-pub(crate) fn post_nack(q: &mut EventQueue<Ev>, at: Time, n: u32, to: u32, pt: u32, msg_id: u64) {
-    let msg = OutMsg {
-        src: n,
-        dst: to,
-        op: OpKind::Ack,
-        pt,
-        match_bits: 0,
-        remote_offset: 0,
-        hdr_data: msg_id,
-        user_hdr: Default::default(),
-        payload: PayloadSpec::Inline(bytes::Bytes::new()),
-        ack: AckReq::None,
-        ack_type: PtlAckType::PtDisabled,
-        reply_dest: 0,
-        notify: Notify::None,
-        msg_id: 0,
-        attempt: 0,
-        answers: msg_id,
-        resume_from: 0,
-    };
-    q.post_at(at, Ev::NicInject(n, Box::new(msg)));
 }
 
 impl World {

@@ -11,15 +11,24 @@
 //! Per-packet processing mutates the installed [`Channel`] **in place**
 //! through the split borrows of [`crate::runtime::NodeCtx`]: no channel is
 //! cloned out of the CAM and written back.
+//!
+//! Every refusal on this path (no matching ME, a disabled entry, a full
+//! CAM, no free HPU context) goes through
+//! [`NodeCtx::refuse`](crate::runtime::NodeCtx::refuse); the table in the
+//! `runtime` module docs gives what each cause counts, whether it disables
+//! the entry and polls its drain, when its NACK leaves, and which host
+//! event it posts.
 
 use crate::msg::{Notify, OutMsg, PayloadSpec};
-use crate::nic::{Channel, DeliveryMode};
-use crate::runtime::HandlerEnv;
+use crate::nic::{Channel, DeliveryMode, PendingSend};
+use crate::recovery::AckStep;
+use crate::runtime::{HandlerEnv, NackAt, Refusal};
 use crate::world::{Ev, World};
 use spin_hpu::cost;
 use spin_hpu::ctx::{HeaderRet, PayloadRet};
 use spin_portals::ct::CtHandle;
 use spin_portals::eq::{EventKind, FullEvent};
+use spin_portals::me::MatchOutcome;
 use spin_portals::ni::HeaderDisposition;
 use spin_portals::types::{AckReq, OpKind, Packet, PtlAckType};
 use spin_sim::engine::EventQueue;
@@ -52,23 +61,7 @@ impl World {
             );
             return;
         }
-        // Transport-level delivery confirmation: retire in-flight recovery
-        // state; an acked probe releases the in-order replay of the queue.
-        // Replays inject at `now`: the pair is Idle from this instant, so
-        // any later host send to it transmits directly — the queue must be
-        // in the send path first to keep per-pair ordering.
-        if let crate::recovery::AckStep::Replay(ids) = self.nodes[n as usize]
-            .nic
-            .recovery
-            .on_ack_ok(now, pkt.header.hdr_data)
-        {
-            self.replay_queue(q, now, n, ids);
-        }
-        let Some(pending) = self.nodes[n as usize]
-            .nic
-            .pending_sends
-            .remove(&pkt.header.hdr_data)
-        else {
+        let Some(pending) = self.retire(q, now, n, pkt.header.hdr_data) else {
             return;
         };
         match pending.notify {
@@ -86,115 +79,92 @@ impl World {
         }
     }
 
-    fn on_get(&mut self, q: &mut EventQueue<Ev>, now: Time, n: u32, pkt: &Packet) {
-        let match_done = now + cost::MATCH_HEADER;
+    /// A delivery confirmation (a transport ack, or a Get's reply) for
+    /// `msg_id` reached its initiator `n`: retire the message's in-flight
+    /// recovery state, and when it was the probe of a recovering (peer, PT)
+    /// pair, release the in-order replay of the queue. Replays inject at
+    /// `now`: the pair is Idle from this instant, so any later host send to
+    /// it transmits directly — the queue must be in the send path first to
+    /// keep per-pair ordering. Returns the message's pending send, if it
+    /// had one.
+    fn retire(
+        &mut self,
+        q: &mut EventQueue<Ev>,
+        now: Time,
+        n: u32,
+        msg_id: u64,
+    ) -> Option<PendingSend> {
+        if let AckStep::Replay(ids) = self.nodes[n as usize].nic.recovery.on_ack_ok(now, msg_id) {
+            self.replay_queue(q, now, n, ids);
+        }
+        self.nodes[n as usize].nic.pending_sends.remove(&msg_id)
+    }
+
+    /// Match the header of a Put, Atomic or Get at node `n` at
+    /// `match_done`. A header the entry refuses (no ME matches, or the
+    /// entry is disabled) is refused here and yields `None`.
+    fn match_header(
+        &mut self,
+        q: &mut EventQueue<Ev>,
+        match_done: Time,
+        n: u32,
+        pkt: &Packet,
+    ) -> Option<Box<MatchOutcome>> {
         let hdr = &pkt.header;
-        let disposition = self.nodes[n as usize].nic.ni.deliver_header(
+        let ctx = &mut self.node_split(n).ctx;
+        let why = match ctx.ni.deliver_header(
             hdr.pt_index,
             hdr.match_bits,
             hdr.source_id,
             hdr.length,
             hdr.offset,
             match_done.ps(),
-        );
-        match disposition {
-            HeaderDisposition::Matched(outcome) => {
-                let node = &mut self.nodes[n as usize];
-                let src = outcome.entry.start + outcome.dest_offset;
-                let len = outcome.mlength;
-                // Copy-on-write snapshot at match time: the reply carries
-                // O(1) page views, and later host writes to the source
-                // region clone pages instead of changing the reply.
-                let data = node.mem.read_slice(src, len).expect("get source");
-                let t = node.nic.dma.fetch(match_done, len);
-                self.gantt
-                    .record(n, "DMA", t.channel_start, t.complete, 'r', || "get-read");
-                let reply = OutMsg {
-                    src: n,
-                    dst: hdr.source_id,
-                    op: OpKind::Reply,
-                    pt: hdr.pt_index,
-                    match_bits: hdr.match_bits,
-                    remote_offset: 0,
-                    hdr_data: pkt.msg_id,
-                    user_hdr: Default::default(),
-                    payload: PayloadSpec::Pages(data),
-                    ack: AckReq::None,
-                    ack_type: PtlAckType::Ok,
-                    reply_dest: 0,
-                    notify: Notify::None,
-                    msg_id: 0,
-                    attempt: 0,
-                    answers: pkt.msg_id,
-                    resume_from: 0,
-                };
-                q.post_at(t.complete, Ev::NicInject(n, Box::new(reply)));
-            }
-            HeaderDisposition::FlowControl => {
-                let recovery_on = self.config.recovery.is_some();
-                let nic = &mut self.nodes[n as usize].nic;
-                nic.stats.flow_control_events += 1;
-                // A bounced Get is NACKed exactly like a bounced Put, so
-                // the initiator queues it for retransmission instead of
-                // leaking its pending-send entry; the drain-and-re-enable
-                // policy applies to the PT either way.
-                if recovery_on {
-                    nic.stats.nacks_sent += 1;
-                    crate::recovery::post_nack(
-                        q,
-                        match_done,
-                        n,
-                        hdr.source_id,
-                        hdr.pt_index,
-                        pkt.msg_id,
-                    );
-                }
-                if let Some(at) = nic.recovery.note_pt_disabled(match_done, hdr.pt_index) {
-                    q.post_at(at, Ev::DrainCheck(n, hdr.pt_index));
-                }
-                let ev = FullEvent::simple(EventKind::PtDisabled, hdr.source_id, hdr.match_bits, 0);
-                self.dispatch_event(q, match_done, n, ev);
-            }
-            HeaderDisposition::Dropped => {
-                let recovery_on = self.config.recovery.is_some();
-                let nic = &mut self.nodes[n as usize].nic;
-                nic.stats.packets_dropped += 1;
-                // The PT was already disabled: NACK so the initiator keeps
-                // (re)trying the Get instead of losing it.
-                if recovery_on {
-                    nic.stats.nacks_sent += 1;
-                    crate::recovery::post_nack(
-                        q,
-                        match_done,
-                        n,
-                        hdr.source_id,
-                        hdr.pt_index,
-                        pkt.msg_id,
-                    );
-                }
-            }
-        }
+        ) {
+            HeaderDisposition::Matched(outcome) => return Some(outcome),
+            HeaderDisposition::FlowControl => Refusal::NoMatch,
+            HeaderDisposition::Dropped => Refusal::Disabled,
+        };
+        ctx.refuse(q, match_done, why, NackAt::Refusal, hdr, pkt.msg_id);
+        None
+    }
+
+    fn on_get(&mut self, q: &mut EventQueue<Ev>, now: Time, n: u32, pkt: &Packet) {
+        let match_done = now + cost::MATCH_HEADER;
+        let Some(outcome) = self.match_header(q, match_done, n, pkt) else {
+            return;
+        };
+        let hdr = &pkt.header;
+        let node = &mut self.nodes[n as usize];
+        let src = outcome.entry.start + outcome.dest_offset;
+        let len = outcome.mlength;
+        // Copy-on-write snapshot at match time: the reply carries O(1) page
+        // views, and later host writes to the source region clone pages
+        // instead of changing the reply.
+        let data = node.mem.read_slice(src, len).expect("get source");
+        let t = node.nic.dma.fetch(match_done, len);
+        self.gantt
+            .record(n, "DMA", t.channel_start, t.complete, 'r', || "get-read");
+        let payload = PayloadSpec::Pages(data);
+        let reply = OutMsg {
+            hdr_data: pkt.msg_id,
+            answers: pkt.msg_id,
+            ..OutMsg::new(
+                n,
+                hdr.source_id,
+                OpKind::Reply,
+                hdr.pt_index,
+                hdr.match_bits,
+                payload,
+            )
+        };
+        q.post_at(t.complete, Ev::NicInject(n, Box::new(reply)));
     }
 
     fn on_reply_packet(&mut self, q: &mut EventQueue<Ev>, now: Time, n: u32, pkt: Packet) {
         let done = now + cost::MATCH_CAM;
         if pkt.is_header() {
-            // The reply is the Get's delivery confirmation: retire its
-            // retransmit-tracking entry, and if the Get was the probe of a
-            // recovering (peer, PT) pair, release the in-order replay of
-            // the queue (mirrors the transport-ack path of `on_ack`).
-            if let crate::recovery::AckStep::Replay(ids) = self.nodes[n as usize]
-                .nic
-                .recovery
-                .on_ack_ok(now, pkt.header.hdr_data)
-            {
-                self.replay_queue(q, now, n, ids);
-            }
-            let Some(pending) = self.nodes[n as usize]
-                .nic
-                .pending_sends
-                .remove(&pkt.header.hdr_data)
-            else {
+            // The reply is the Get's delivery confirmation.
+            let Some(pending) = self.retire(q, now, n, pkt.header.hdr_data) else {
                 self.nodes[n as usize].nic.stats.packets_dropped += 1;
                 return;
             };
@@ -243,62 +213,15 @@ impl World {
 
     fn on_put_header(&mut self, q: &mut EventQueue<Ev>, now: Time, n: u32, pkt: Packet) {
         let match_done = now + cost::MATCH_HEADER;
-        let recovery_on = self.config.recovery.is_some();
+        let Some(outcome) = self.match_header(q, match_done, n, &pkt) else {
+            return;
+        };
         let hdr = Arc::clone(&pkt.header);
         let msg_id = pkt.msg_id;
         let start_at;
         {
             let mut split = self.node_split(n);
             let ctx = &mut split.ctx;
-            let disposition = split.ni.deliver_header(
-                hdr.pt_index,
-                hdr.match_bits,
-                hdr.source_id,
-                hdr.length,
-                hdr.offset,
-                match_done.ps(),
-            );
-            let outcome = match disposition {
-                HeaderDisposition::Matched(o) => o,
-                HeaderDisposition::FlowControl => {
-                    ctx.stats.flow_control_events += 1;
-                    if let Some(at) = ctx.recovery.note_pt_disabled(match_done, hdr.pt_index) {
-                        q.post_at(at, Ev::DrainCheck(n, hdr.pt_index));
-                    }
-                    if recovery_on {
-                        ctx.stats.nacks_sent += 1;
-                        crate::recovery::post_nack(
-                            q,
-                            match_done,
-                            n,
-                            hdr.source_id,
-                            hdr.pt_index,
-                            msg_id,
-                        );
-                    }
-                    let ev =
-                        FullEvent::simple(EventKind::PtDisabled, hdr.source_id, hdr.match_bits, 0);
-                    ctx.deliver_event(q, match_done, ev);
-                    return;
-                }
-                HeaderDisposition::Dropped => {
-                    ctx.stats.packets_dropped += 1;
-                    // The PT was already disabled: NACK so the initiator
-                    // queues the message instead of losing it.
-                    if recovery_on {
-                        ctx.stats.nacks_sent += 1;
-                        crate::recovery::post_nack(
-                            q,
-                            match_done,
-                            n,
-                            hdr.source_id,
-                            hdr.pt_index,
-                            msg_id,
-                        );
-                    }
-                    return;
-                }
-            };
             let entry = &outcome.entry;
             let hset = entry.handlers.map(|r| split.handlers[r.0 as usize].clone());
             let mut ch = Channel {
@@ -343,8 +266,10 @@ impl World {
                             // `Put` event followed the `PtDisabled` one;
                             // §3.2 drops the flow-controlled message
                             // entirely.)
-                            ctx.flow_control_message(q, split.ni, match_done, &mut ch);
+                            ch.flow_control = true;
                             ch.mode = DeliveryMode::DropAll;
+                            let (why, nack) = (Refusal::NoContext, NackAt::Teardown);
+                            ctx.refuse(q, match_done, why, nack, &hdr, msg_id);
                         }
                         Some(core) => {
                             let (end, ret) = ctx.run_header(q, core, match_done, &ch, &hs);
@@ -400,24 +325,8 @@ impl World {
             }
             if split.cam.install(msg_id, ch).is_err() {
                 // CAM exhausted: treat as flow control (drop message).
-                ctx.stats.flow_control_events += 1;
-                split.ni.pt_disable(hdr.pt_index);
-                if let Some(at) = ctx.recovery.note_pt_disabled(match_done, hdr.pt_index) {
-                    q.post_at(at, Ev::DrainCheck(n, hdr.pt_index));
-                }
-                if recovery_on {
-                    ctx.stats.nacks_sent += 1;
-                    crate::recovery::post_nack(
-                        q,
-                        match_done,
-                        n,
-                        hdr.source_id,
-                        hdr.pt_index,
-                        msg_id,
-                    );
-                }
-                let ev = FullEvent::simple(EventKind::PtDisabled, hdr.source_id, hdr.match_bits, 0);
-                ctx.deliver_event(q, match_done, ev);
+                let (why, nack) = (Refusal::CamFull, NackAt::Refusal);
+                ctx.refuse(q, match_done, why, nack, &hdr, msg_id);
                 return;
             }
         }
@@ -503,7 +412,9 @@ impl World {
                             None => {
                                 // Context exhaustion mid-message: §3.2 flow
                                 // control.
-                                ctx.flow_control_message(q, split.ni, t, ch);
+                                ch.flow_control = true;
+                                let (why, nack) = (Refusal::NoContext, NackAt::Teardown);
+                                ctx.refuse(q, t, why, nack, &ch.header, ch.src_msg_id);
                                 dropped_delta += data.len();
                             }
                             Some(core) => {

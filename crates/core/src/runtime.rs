@@ -3,16 +3,29 @@
 //! gem5→LogGOPSim integration of §4.2).
 //!
 //! The central type is [`NodeCtx`]: a split-borrow view of one node's
-//! subsystems (HPU pool, DMA engine, HPU memories, NIC stats, host DRAM,
-//! Gantt recorder). Because the channel CAM is *not* part of it, the
+//! subsystems (Portals NI, HPU pool, DMA engine, HPU memories, NIC stats,
+//! host DRAM, Gantt recorder). Because the channel CAM is *not* part of it, the
 //! receive path can hold a `&mut Channel` — mutating per-message state in
 //! place — while handlers execute against everything else. This is what
 //! removed the per-packet clone-snapshot-writeback of the `Channel`.
+//!
+//! [`NodeCtx::refuse`] is the one home of the target side of §3.2 flow
+//! control. Each [`Refusal`] cause does what its row says; the NACK leaves
+//! only with recovery on:
+//!
+//! | cause | counter bumped | entry | drain poll | NACK leaves | host event |
+//! |---|---|---|---|---|---|
+//! | no matching ME | `flow_control_events` | disabled (by the NI) | yes | at the header match | `PtDisabled` |
+//! | entry already disabled | `packets_dropped` | stays disabled | no | at the header match | none |
+//! | CAM full | `flow_control_events` | disabled | yes | at the header match | `PtDisabled` |
+//! | no HPU context, for a header or mid-message | `flow_control_events` | disabled | yes | at the message's teardown | `PtDisabled` |
+//! | crashed target | `packets_dropped`, `drops_on_dead_link` | untouched | no | at arrival, for a Put, Atomic or Get header | none |
 
 use crate::handlers::{HandlerSet, HeaderArgs, PayloadArgs};
 use crate::msg::{Notify, OutMsg, PayloadSpec};
 use crate::nic::{Channel, NicStats};
 use crate::recovery::RecoveryManager;
+use crate::send::post_ack;
 use crate::world::Ev;
 use bytes::Bytes;
 use spin_hpu::cam::Cam;
@@ -20,22 +33,21 @@ use spin_hpu::ctx::{CompletionInfo, CompletionRet, HandlerCtx, HeaderRet, OutAct
 use spin_hpu::dma::DmaEngine;
 use spin_hpu::memory::{HostMemory, HpuMemory, Segv};
 use spin_hpu::pool::HpuPool;
+use spin_portals::ct::CtHandle;
 use spin_portals::eq::{EventKind, FullEvent};
 use spin_portals::ni::PortalsNi;
-use spin_portals::types::{AckReq, OpKind, PtlAckType};
+use spin_portals::types::{OpKind, PtlAckType, PtlHeader};
 use spin_sim::engine::EventQueue;
 use spin_sim::gantt::Gantt;
 use spin_sim::time::Time;
 
-/// Split-borrow view of one node for the packet path: the channel CAM,
-/// the Portals NI, and the handler registry separately from the
-/// [`NodeCtx`] the handler runtime mutates.
+/// Split-borrow view of one node for the packet path: the channel CAM and
+/// the handler registry separately from the [`NodeCtx`] the handler
+/// runtime mutates.
 pub(crate) struct NodeSplit<'a> {
     /// The channel CAM (held apart so `&mut Channel` can coexist with
     /// handler execution).
     pub cam: &'a mut Cam<Channel>,
-    /// Portals matching/counter state (PT disable on flow control).
-    pub ni: &'a mut PortalsNi,
     /// Installed handler sets.
     pub handlers: &'a mut Vec<HandlerSet>,
     /// Everything a handler run touches.
@@ -47,6 +59,8 @@ pub(crate) struct NodeSplit<'a> {
 pub(crate) struct NodeCtx<'a> {
     /// This node's rank.
     pub n: u32,
+    /// Portals matching state (header match, PT disable on refusal).
+    pub ni: &'a mut PortalsNi,
     /// HPU cores and execution contexts.
     pub pool: &'a mut HpuPool,
     /// NIC↔host DMA engine.
@@ -69,6 +83,35 @@ pub(crate) struct NodeCtx<'a> {
     pub mtu: usize,
     /// Event-queue → host dispatch latency.
     pub dispatch_latency: Time,
+}
+
+/// Why a target refuses a message (§3.2): one row of the module table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// No ME matched the header, so the NI disabled the entry.
+    NoMatch,
+    /// The entry was already disabled.
+    Disabled,
+    /// The channel CAM had no free slot.
+    CamFull,
+    /// No HPU context was free, for the header handler or for a payload
+    /// handler part-way through the message.
+    NoContext,
+    /// The target is crashed: the fabric answers for it.
+    Crashed,
+}
+
+/// When a refusal NACKs the initiator (with recovery on).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum NackAt {
+    /// With the refusal: a refused header.
+    Refusal,
+    /// At the teardown of the message's channel, after its completion
+    /// handler ran: a message refused part-way.
+    Teardown,
+    /// Never: a packet no initiator retransmits alone (a follow-on, a
+    /// reply or an ack reaching a crashed target).
+    Never,
 }
 
 /// The `Copy` slice of a [`Channel`] a handler run needs: reading these
@@ -113,30 +156,59 @@ impl NodeCtx<'_> {
         );
     }
 
-    /// Trigger §3.2 flow control for `ch`'s whole message: disable the PT
-    /// and notify the host. With recovery enabled, also start the
-    /// drain-and-re-enable poll for the entry. Mutates the channel in
-    /// place.
-    pub fn flow_control_message(
+    /// Refuse the message `msg_id` that `hdr` heads at time `t` (§3.2),
+    /// as the row of the module table for `why` says: count it, and when
+    /// the cause disables the entry, disable it, schedule its drain poll
+    /// and post `PtDisabled` to the host. `nack` says when the initiator is
+    /// NACKed: with this call, at the teardown of the message's channel
+    /// (which then calls [`NodeCtx::nack`]), or never.
+    pub fn refuse(
         &mut self,
         q: &mut EventQueue<Ev>,
-        ni: &mut PortalsNi,
         t: Time,
-        ch: &mut Channel,
+        why: Refusal,
+        nack: NackAt,
+        hdr: &PtlHeader,
+        msg_id: u64,
     ) {
-        ch.flow_control = true;
-        self.stats.flow_control_events += 1;
-        ni.pt_disable(ch.pt);
-        if let Some(at) = self.recovery.note_pt_disabled(t, ch.pt) {
-            q.post_at(at, Ev::DrainCheck(self.n, ch.pt));
+        let disables = match why {
+            Refusal::Disabled => {
+                self.stats.packets_dropped += 1;
+                false
+            }
+            Refusal::Crashed => {
+                self.stats.packets_dropped += 1;
+                self.stats.drops_on_dead_link += 1;
+                false
+            }
+            Refusal::NoMatch | Refusal::CamFull | Refusal::NoContext => {
+                self.stats.flow_control_events += 1;
+                true
+            }
+        };
+        if disables {
+            self.ni.pt_disable(hdr.pt_index);
+            if let Some(at) = self.recovery.note_pt_disabled(t, hdr.pt_index) {
+                q.post_at(at, Ev::DrainCheck(self.n, hdr.pt_index));
+            }
         }
-        let ev = FullEvent::simple(
-            EventKind::PtDisabled,
-            ch.header.source_id,
-            ch.header.match_bits,
-            0,
-        );
-        self.deliver_event(q, t, ev);
+        if nack == NackAt::Refusal {
+            self.nack(q, t, hdr, msg_id);
+        }
+        if disables {
+            let ev = FullEvent::simple(EventKind::PtDisabled, hdr.source_id, hdr.match_bits, 0);
+            self.deliver_event(q, t, ev);
+        }
+    }
+
+    /// With recovery on, NACK the refused message `msg_id` back to its
+    /// initiator at `t`, so it queues the message for retransmission.
+    pub fn nack(&mut self, q: &mut EventQueue<Ev>, t: Time, hdr: &PtlHeader, msg_id: u64) {
+        if self.recovery.enabled() {
+            self.stats.nacks_sent += 1;
+            let (to, pt) = (hdr.source_id, hdr.pt_index);
+            post_ack(q, t, self.n, to, pt, msg_id, PtlAckType::PtDisabled);
+        }
     }
 
     /// Report a handler error (only the first per message, Appendix B.3).
@@ -302,7 +374,7 @@ pub(crate) fn apply_action(
     env: HandlerEnv,
     action: OutAction,
 ) {
-    match action {
+    let msg = match action {
         OutAction::PutFromDevice {
             payload,
             target,
@@ -310,28 +382,12 @@ pub(crate) fn apply_action(
             remote_offset,
             hdr_data,
             user_hdr,
-        } => {
-            let msg = OutMsg {
-                src: n,
-                dst: target,
-                op: OpKind::Put,
-                pt: env.pt,
-                match_bits,
-                remote_offset,
-                hdr_data,
-                user_hdr,
-                payload: PayloadSpec::Inline(payload),
-                ack: AckReq::None,
-                ack_type: PtlAckType::Ok,
-                reply_dest: 0,
-                notify: Notify::None,
-                msg_id: 0,
-                attempt: 0,
-                answers: 0,
-                resume_from: 0,
-            };
-            q.post_at(t, Ev::NicInject(n, Box::new(msg)));
-        }
+        } => OutMsg {
+            remote_offset,
+            hdr_data,
+            user_hdr,
+            ..OutMsg::put_inline(n, target, env.pt, match_bits, payload)
+        },
         OutAction::PutFromHost {
             me_offset,
             length,
@@ -341,30 +397,17 @@ pub(crate) fn apply_action(
             hdr_data,
             user_hdr,
         } => {
-            let msg = OutMsg {
-                src: n,
-                dst: target,
-                op: OpKind::Put,
-                pt: env.pt,
-                match_bits,
+            let payload = PayloadSpec::HostRegion {
+                offset: env.me_start + me_offset,
+                len: length,
+                charge_dma: true,
+            };
+            OutMsg {
                 remote_offset,
                 hdr_data,
                 user_hdr,
-                payload: PayloadSpec::HostRegion {
-                    offset: env.me_start + me_offset,
-                    len: length,
-                    charge_dma: true,
-                },
-                ack: AckReq::None,
-                ack_type: PtlAckType::Ok,
-                reply_dest: 0,
-                notify: Notify::None,
-                msg_id: 0,
-                attempt: 0,
-                answers: 0,
-                resume_from: 0,
-            };
-            q.post_at(t, Ev::NicInject(n, Box::new(msg)));
+                ..OutMsg::new(n, target, OpKind::Put, env.pt, match_bits, payload)
+            }
         }
         OutAction::Get {
             me_offset,
@@ -373,32 +416,22 @@ pub(crate) fn apply_action(
             match_bits,
             remote_offset,
         } => {
-            let msg = OutMsg {
-                src: n,
-                dst: target,
-                op: OpKind::Get,
-                pt: env.pt,
-                match_bits,
-                remote_offset,
-                hdr_data: 0,
-                user_hdr: Default::default(),
-                payload: PayloadSpec::None { len: length },
-                ack: AckReq::None,
-                ack_type: PtlAckType::Ok,
-                reply_dest: env.me_start + me_offset,
+            let reply_dest = env.me_start + me_offset;
+            OutMsg {
                 notify: Notify::Channel(env.src_msg_id),
-                msg_id: 0,
-                attempt: 0,
-                answers: 0,
-                resume_from: 0,
-            };
-            q.post_at(t, Ev::NicInject(n, Box::new(msg)));
+                ..OutMsg::get(
+                    n,
+                    target,
+                    env.pt,
+                    match_bits,
+                    remote_offset,
+                    length,
+                    reply_dest,
+                )
+            }
         }
-        OutAction::CtInc { ct, by } => {
-            q.post_at(t, Ev::CtInc(n, spin_portals::ct::CtHandle(ct), by))
-        }
-        OutAction::CtSet { ct, value } => {
-            q.post_at(t, Ev::CtSet(n, spin_portals::ct::CtHandle(ct), value))
-        }
-    }
+        OutAction::CtInc { ct, by } => return q.post_at(t, Ev::CtInc(n, CtHandle(ct), by)),
+        OutAction::CtSet { ct, value } => return q.post_at(t, Ev::CtSet(n, CtHandle(ct), value)),
+    };
+    q.post_at(t, Ev::NicInject(n, Box::new(msg)));
 }

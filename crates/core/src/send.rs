@@ -388,37 +388,6 @@ impl World {
         }
     }
 
-    /// Send an explicit acknowledgement for `answers` back to `to`.
-    pub(crate) fn send_ack(
-        &mut self,
-        q: &mut EventQueue<Ev>,
-        t: Time,
-        n: u32,
-        to: u32,
-        answers: u64,
-    ) {
-        let msg = OutMsg {
-            src: n,
-            dst: to,
-            op: OpKind::Ack,
-            pt: 0,
-            match_bits: 0,
-            remote_offset: 0,
-            hdr_data: answers,
-            user_hdr: Default::default(),
-            payload: PayloadSpec::Inline(Bytes::new()),
-            ack: AckReq::None,
-            ack_type: PtlAckType::Ok,
-            reply_dest: 0,
-            notify: Notify::None,
-            msg_id: 0,
-            attempt: 0,
-            answers,
-            resume_from: 0,
-        };
-        q.post_at(t, Ev::NicInject(n, Box::new(msg)));
-    }
-
     // ---- P4 triggered operations ----
 
     /// Execute a fired triggered action on node `n`'s NIC.
@@ -441,38 +410,17 @@ impl World {
                 user_hdr,
                 ack,
             } => {
+                // "the data is fetched via DMA ... as in the RDMA case"
+                // (§4.4.1) — i.e. like a host-initiated send, whose staging
+                // is covered by o/G in the LogGOPS accounting, so no
+                // separate charge.
                 let msg = OutMsg {
-                    src: n,
-                    dst: target,
-                    op: OpKind::Put,
-                    pt,
-                    match_bits,
                     remote_offset,
                     hdr_data,
                     user_hdr,
-                    payload: PayloadSpec::HostRegion {
-                        offset: local_offset,
-                        len: length,
-                        // "the data is fetched via DMA ... as in the RDMA
-                        // case" (§4.4.1) — i.e. like a host-initiated send,
-                        // whose staging is covered by o/G in the LogGOPS
-                        // accounting, so no separate charge.
-                        charge_dma: false,
-                    },
-                    ack,
-                    ack_type: PtlAckType::Ok,
-                    reply_dest: 0,
-                    notify: if ack == AckReq::None {
-                        Notify::None
-                    } else {
-                        Notify::Host
-                    },
-                    msg_id: 0,
-                    attempt: 0,
-                    answers: 0,
-                    resume_from: 0,
+                    ..OutMsg::put_from_host(n, target, pt, match_bits, local_offset, length)
                 };
-                q.post_at(now, Ev::NicInject(n, Box::new(msg)));
+                q.post_at(now, Ev::NicInject(n, Box::new(msg.acked(ack))));
             }
             TriggeredAction::Get {
                 pt,
@@ -482,25 +430,15 @@ impl World {
                 match_bits,
                 remote_offset,
             } => {
-                let msg = OutMsg {
-                    src: n,
-                    dst: target,
-                    op: OpKind::Get,
+                let msg = OutMsg::get(
+                    n,
+                    target,
                     pt,
                     match_bits,
                     remote_offset,
-                    hdr_data: 0,
-                    user_hdr: Default::default(),
-                    payload: PayloadSpec::None { len: length },
-                    ack: AckReq::None,
-                    ack_type: PtlAckType::Ok,
-                    reply_dest: local_offset,
-                    notify: Notify::Host,
-                    msg_id: 0,
-                    attempt: 0,
-                    answers: 0,
-                    resume_from: 0,
-                };
+                    length,
+                    local_offset,
+                );
                 q.post_at(now, Ev::NicInject(n, Box::new(msg)));
             }
             TriggeredAction::CtInc { ct, increment } => {
@@ -511,4 +449,28 @@ impl World {
             }
         }
     }
+}
+
+/// Post an `Ack` control message from node `n` back to `to`, answering its
+/// message `answers`, at `at`: a positive ack (`PtlAckType::Ok`, entry 0) or
+/// a §3.2 NACK (`PtDisabled`, naming the refusing entry `pt`). It is an
+/// ordinary zero-payload message, so it pays the normal send-path and
+/// network costs.
+pub(crate) fn post_ack(
+    q: &mut EventQueue<Ev>,
+    at: Time,
+    n: u32,
+    to: u32,
+    pt: u32,
+    answers: u64,
+    ack_type: PtlAckType,
+) {
+    let payload = PayloadSpec::Inline(Bytes::new());
+    let msg = OutMsg {
+        hdr_data: answers,
+        ack_type,
+        answers,
+        ..OutMsg::new(n, to, OpKind::Ack, pt, 0, payload)
+    };
+    q.post_at(at, Ev::NicInject(n, Box::new(msg)));
 }

@@ -23,7 +23,8 @@ use crate::fault::{CompiledFaults, FaultKind};
 use crate::host::{Host, HostApi, HostProgram};
 use crate::msg::OutMsg;
 use crate::nic::Nic;
-use crate::runtime::NodeCtx;
+use crate::recovery::RecoveryManager;
+use crate::runtime::{NackAt, NodeCtx, Refusal};
 use spin_hpu::memory::HostMemory;
 use spin_net::transfer::Network;
 use spin_portals::ct::{CtHandle, TriggeredAction};
@@ -246,9 +247,9 @@ impl World {
             .or_insert_with(|| SimRng::seeded(seed))
     }
 
-    /// Split-borrow node `n` for the packet path: the channel CAM, the
-    /// Portals NI, and the handler registry are returned separately from
-    /// the [`NodeCtx`] the handler runtime mutates, so per-message
+    /// Split-borrow node `n` for the packet path: the channel CAM and the
+    /// handler registry are returned separately from the [`NodeCtx`] the
+    /// handler runtime and the refusal path mutate, so per-message
     /// [`Channel`](crate::nic::Channel) state can be updated **in place**
     /// while handlers run against the DMA engine, host memory, HPU pool,
     /// and Gantt recorder.
@@ -274,10 +275,10 @@ impl World {
         } = &mut node.nic;
         crate::runtime::NodeSplit {
             cam,
-            ni,
             handlers,
             ctx: NodeCtx {
                 n,
+                ni,
                 pool,
                 dma,
                 hpu_mems,
@@ -333,14 +334,14 @@ impl World {
     /// node-addressed events targeting it are swallowed. Two exceptions:
     ///
     /// * `NicInject` of an `Ack` passes. The source-local NACKs the fault
-    ///   model synthesizes (send path, and `on_packet_at_crashed` below)
-    ///   model the *fabric* reporting destination-unreachable, not the dead
-    ///   NIC speaking — they must leave or the sender's recovery machine
-    ///   never engages.
-    /// * `PacketArrive` is accounted (dropped on the dead link) and, for
-    ///   recoverable headers, answered with that same synthesized NACK so
-    ///   in-flight traffic that raced the crash drives the sender into
-    ///   backoff→probing instead of hanging.
+    ///   model synthesizes (send path, and the crashed-target refusal
+    ///   below) model the *fabric* reporting destination-unreachable, not
+    ///   the dead NIC speaking — they must leave or the sender's recovery
+    ///   machine never engages.
+    /// * `PacketArrive` is a [`Refusal::Crashed`]: accounted (dropped on
+    ///   the dead link) and, for recoverable headers, answered with that
+    ///   same synthesized NACK so in-flight traffic that raced the crash
+    ///   drives the sender into backoff→probing instead of hanging.
     fn crash_filter(&mut self, q: &mut EventQueue<Ev>, now: Time, ev: Ev) -> Option<Ev> {
         let target = match &ev {
             Ev::Start(n)
@@ -362,30 +363,16 @@ impl World {
         match ev {
             Ev::NicInject(_, ref msg) if msg.op == OpKind::Ack => Some(ev),
             Ev::PacketArrive(n, pkt) => {
-                self.on_packet_at_crashed(q, now, n, *pkt);
+                let nack = if pkt.is_header() && RecoveryManager::recoverable(pkt.header.op) {
+                    NackAt::Refusal
+                } else {
+                    NackAt::Never
+                };
+                let ctx = &mut self.node_split(n).ctx;
+                ctx.refuse(q, now, Refusal::Crashed, nack, &pkt.header, pkt.msg_id);
                 None
             }
             _ => None,
-        }
-    }
-
-    /// A packet reached a crashed node: count the dead-link drop and NACK
-    /// recoverable headers so the initiator recovers instead of hanging.
-    fn on_packet_at_crashed(&mut self, q: &mut EventQueue<Ev>, now: Time, n: u32, pkt: Packet) {
-        let nic = &mut self.nodes[n as usize].nic;
-        nic.stats.packets_dropped += 1;
-        nic.stats.drops_on_dead_link += 1;
-        let recoverable = matches!(pkt.header.op, OpKind::Put | OpKind::Atomic(_) | OpKind::Get);
-        if pkt.is_header() && recoverable && self.config.recovery.is_some() {
-            nic.stats.nacks_sent += 1;
-            crate::recovery::post_nack(
-                q,
-                now,
-                n,
-                pkt.header.source_id,
-                pkt.header.pt_index,
-                pkt.msg_id,
-            );
         }
     }
 

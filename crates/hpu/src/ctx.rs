@@ -463,22 +463,15 @@ impl<'a> HandlerCtx<'a> {
         remote_offset: usize,
         hdr_data: u64,
     ) -> Result<(), Segv> {
-        self.charge(cost::PUT_FROM_HOST_ISSUE);
-        // Bounds-check against the sandbox now; the runtime DMAs later.
-        self.resolve(MemRegion::MeHost, me_offset, length)?;
-        self.actions.push((
-            self.now(),
-            OutAction::PutFromHost {
-                me_offset,
-                length,
-                target,
-                match_bits,
-                remote_offset,
-                hdr_data,
-                user_hdr: UserHeader::empty(),
-            },
-        ));
-        Ok(())
+        self.put_from_host_with_header(
+            me_offset,
+            length,
+            target,
+            match_bits,
+            remote_offset,
+            hdr_data,
+            UserHeader::empty(),
+        )
     }
 
     /// Variant of [`Self::put_from_host`] carrying a user header (protocol
@@ -495,6 +488,7 @@ impl<'a> HandlerCtx<'a> {
         user_hdr: UserHeader,
     ) -> Result<(), Segv> {
         self.charge(cost::PUT_FROM_HOST_ISSUE);
+        // Bounds-check against the sandbox now; the runtime DMAs later.
         self.resolve(MemRegion::MeHost, me_offset, length)?;
         self.actions.push((
             self.now(),

@@ -3,10 +3,12 @@
 //! discrete-event engine promises bit-identical schedules for identical
 //! inputs, so two runs of any configuration — one on the serial engine,
 //! one at 4 exact shards — must agree on every field of the report. The
-//! six goldens below pin `spin_core::world::digest` on both engines.
+//! seven goldens below pin `spin_core::world::digest` on both engines (the
+//! seventh, the §3.2 refusal arms, with recovery off and on).
 
 use spin_apps::pingpong::{self, PingPongMode};
 use spin_core::config::{MachineConfig, NicKind};
+use spin_core::fault::{FaultKind, FaultPlan};
 use spin_core::handlers::FnHandlers;
 use spin_core::host::{HostApi, HostProgram, MeSpec, PutArgs};
 use spin_core::world::{digest, fingerprint, Report, ShardMode, SimBuilder};
@@ -430,4 +432,175 @@ fn golden_zero_occupancy_incast() {
         "incast sent only {} packets",
         report.net_packets
     );
+}
+
+// ------------------------------------------------------ §3.2 refusal arms
+//
+// The goldens above reach only three of the target's refusal blocks: a Put
+// bouncing off an already-disabled entry, and payload-context exhaustion
+// with its teardown NACK. This world reaches the arms they miss. Rank 1
+// sends a Get to rank 0's entry 0 and a Put to its entry 1 while neither
+// has an ME posted (no match: the NI disables the entry), then a second
+// Get and Put that bounce off the disabled entries; rank 0 posts its MEs
+// and re-enables both entries by hand at 6 µs, after which a third Get and
+// Put get through. With recovery on, every refusal NACKs rank 1, which
+// backs off and probes until the entries re-enable, and a fault plan
+// crashes rank 2 while a multi-packet Put from rank 1 is on the wire to it:
+// its header reaches the crashed node and is NACKed on the node's behalf,
+// and the Put is replayed after rank 2 restarts. The golden is pinned with
+// recovery off and on.
+
+mod refusal {
+    pub const TAG: u64 = 0x5EED;
+    pub const SEND: usize = 0x1000;
+    pub const GET_SRC: usize = 0x2_0000;
+    pub const RECV: usize = 0x4_0000;
+    pub const REPLY: usize = 0x6_0000;
+    pub const LEN: usize = 2 * super::MTU + 77;
+    /// When the crash Put's timer fires at rank 1, and when rank 2 crashes
+    /// and restarts: the Put's header is on the wire at the crash.
+    pub const CRASH_PUT_NS: u64 = 3_000;
+    pub const CRASH_NS: u64 = 3_300;
+    pub const RESTART_NS: u64 = 9_000;
+}
+
+/// Rank 0: no ME on entries 0 and 1 until its timer re-arms them.
+struct RefusalTarget;
+
+impl HostProgram for RefusalTarget {
+    fn on_start(&mut self, api: &mut HostApi<'_>) {
+        let pattern: Vec<u8> = (0..refusal::LEN).map(|i| (i * 29 % 247) as u8).collect();
+        api.write_host(refusal::GET_SRC, &pattern);
+        api.set_timer(Time::from_us(6), 0);
+        api.mark("target-armed");
+    }
+
+    fn on_timer(&mut self, _token: u64, api: &mut HostApi<'_>) {
+        api.me_append(MeSpec::recv(
+            0,
+            refusal::TAG,
+            (refusal::GET_SRC, refusal::LEN),
+        ));
+        api.me_append(MeSpec::recv(1, refusal::TAG, (refusal::RECV, 1 << 16)));
+        api.pt_enable(0);
+        api.pt_enable(1);
+        api.mark("target-re-armed");
+    }
+
+    fn on_event(&mut self, ev: &spin_portals::eq::FullEvent, api: &mut HostApi<'_>) {
+        api.mark(format!("tgt-{:?}-p{}-m{}", ev.kind, ev.peer, ev.mlength));
+    }
+}
+
+/// Rank 1: the Gets and Puts to rank 0, and the Put that races rank 2's
+/// crash.
+struct RefusalClient;
+
+impl RefusalClient {
+    fn get_and_put(api: &mut HostApi<'_>, round: usize) {
+        api.get(
+            0,
+            0,
+            refusal::TAG,
+            0,
+            refusal::LEN,
+            refusal::REPLY + round * 0x4000,
+        );
+        api.put(PutArgs::from_host(0, 1, refusal::TAG, refusal::SEND, refusal::LEN).with_ack());
+    }
+}
+
+impl HostProgram for RefusalClient {
+    fn on_start(&mut self, api: &mut HostApi<'_>) {
+        let pattern: Vec<u8> = (0..refusal::LEN).map(|i| (i * 41 % 239) as u8).collect();
+        api.write_host(refusal::SEND, &pattern);
+        Self::get_and_put(api, 0);
+        api.set_timer(Time::from_us(1), 1);
+        api.set_timer(Time::from_ns(refusal::CRASH_PUT_NS), 2);
+        api.set_timer(Time::from_us(10), 3);
+    }
+
+    fn on_timer(&mut self, token: u64, api: &mut HostApi<'_>) {
+        match token {
+            2 => api.put(
+                PutArgs::from_host(2, 0, refusal::TAG, refusal::SEND, refusal::LEN).with_ack(),
+            ),
+            round => Self::get_and_put(api, round as usize),
+        }
+    }
+
+    fn on_event(&mut self, ev: &spin_portals::eq::FullEvent, api: &mut HostApi<'_>) {
+        api.mark(format!("cli-{:?}-p{}-m{}", ev.kind, ev.peer, ev.mlength));
+    }
+}
+
+/// Rank 2: one receive ME, posted again when it restarts.
+struct RefusalVictim;
+
+impl HostProgram for RefusalVictim {
+    fn on_start(&mut self, api: &mut HostApi<'_>) {
+        api.me_append(MeSpec::recv(0, refusal::TAG, (refusal::RECV, 1 << 16)));
+        api.mark("victim-armed");
+    }
+
+    fn on_event(&mut self, ev: &spin_portals::eq::FullEvent, api: &mut HostApi<'_>) {
+        api.mark(format!("vic-{:?}-p{}-m{}", ev.kind, ev.peer, ev.mlength));
+    }
+}
+
+fn refusal_builder(recovery: bool) -> SimBuilder {
+    let mut config = MachineConfig::paper(NicKind::Integrated);
+    if recovery {
+        config = config.with_recovery().with_faults(
+            FaultPlan::default()
+                .with(
+                    Time::from_ns(refusal::CRASH_NS),
+                    FaultKind::NodeCrash { node: 2 },
+                )
+                .with(
+                    Time::from_ns(refusal::RESTART_NS),
+                    FaultKind::NodeRestart { node: 2 },
+                ),
+        );
+    }
+    SimBuilder::new(config)
+        .add_node(Box::new(RefusalTarget))
+        .add_node(Box::new(RefusalClient))
+        .add_node(Box::new(RefusalVictim))
+}
+
+#[test]
+fn golden_refusal_arms() {
+    let off = assert_golden(
+        "refusal/recovery=off",
+        || refusal_builder(false),
+        0xf2b9_27d5_c8b4_95ceu64,
+    );
+    let on = assert_golden(
+        "refusal/recovery=on",
+        || refusal_builder(true),
+        0x1e11_13f5_2ac1_1987u64,
+    );
+    // Not vacuous: both entries refused by no-match and by being disabled.
+    for (what, r) in [("off", &off), ("on", &on)] {
+        let target = &r.node_stats[0];
+        assert!(target.flow_control_events >= 2, "{what}: {target:?}");
+        assert!(target.packets_dropped >= 2, "{what}: {target:?}");
+        assert!(r
+            .marks
+            .iter()
+            .any(|(n, l, _)| *n == 1 && l.contains("cli-Reply")));
+    }
+    assert_eq!(off.node_stats[0].nacks_sent, 0);
+    assert!(on.node_stats[0].nacks_sent >= 4, "{:?}", on.node_stats[0]);
+    // The crash: rank 2 dropped the Put's packets on its dead link and
+    // NACKed its header, and the replay landed after the restart.
+    let victim = &on.node_stats[2];
+    assert!(victim.drops_on_dead_link > 0, "{victim:?}");
+    assert_eq!(victim.nacks_sent, 1, "{victim:?}");
+    assert_eq!(victim.crash_recoveries, 1, "{victim:?}");
+    assert!(on
+        .marks
+        .iter()
+        .any(|(n, l, _)| *n == 2 && l.starts_with("vic-Put")));
 }
